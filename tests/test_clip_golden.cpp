@@ -1,0 +1,110 @@
+// Golden output digests for spherical clip and isovolume.
+//
+// Pins FNV-1a-64 over the raw bytes of the tet piece mesh and the whole
+// cell list, at the study's default parameters on the CloverLeaf proxy
+// field: clip sphere at the bounds' center with radius 0.3 x the domain
+// diagonal, and an isovolume band of [0.4, 0.8] of the energy range.
+// Any change to tet order, vertex arithmetic or cell selection changes
+// the digest; the values were recorded before clip and isovolume moved
+// to count-then-fill output, which must reproduce them bit for bit.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "sim/cloverleaf.h"
+#include "util/backend.h"
+#include "util/exec_context.h"
+#include "util/thread_pool.h"
+#include "viz/filters/clip_sphere.h"
+#include "viz/filters/isovolume.h"
+
+namespace pviz::vis {
+namespace {
+
+// FNV-1a 64 with the offset basis ResultCache::hashKey uses, so digests
+// here and in the cache tooling compare directly.
+class Fnv1a64 {
+ public:
+  template <typename T>
+  void add(const std::vector<T>& values) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+    for (std::size_t i = 0; i < values.size() * sizeof(T); ++i) {
+      h_ ^= bytes[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+std::string digest(const TetMesh& pieces, const HexSubset& whole) {
+  Fnv1a64 h;
+  h.add(pieces.points);
+  h.add(pieces.pointScalars);
+  h.add(pieces.connectivity);
+  h.add(whole.cellIds);
+  h.add(whole.cellScalars);
+  return h.hex();
+}
+
+ClipResult studyClip(util::ExecutionContext& ctx, const UniformGrid& g) {
+  ClipSphereFilter filter;
+  const Bounds box = g.bounds();
+  filter.setSphere(box.center(), 0.3 * length(box.extent()));
+  return filter.run(ctx, g, "energy").clipped;
+}
+
+IsovolumeFilter::Result studyIsovolume(util::ExecutionContext& ctx,
+                                       const UniformGrid& g) {
+  const auto [lo, hi] = g.field("energy").range();
+  IsovolumeFilter filter;
+  filter.setRange(lo + 0.4 * (hi - lo), lo + 0.8 * (hi - lo));
+  return filter.run(ctx, g, "energy");
+}
+
+struct Golden {
+  Id cells;
+  const char* clip;
+  const char* isovolume;
+  Id lowClipTets;
+};
+
+class ClipGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(ClipGolden, DigestsMatchOnEveryPoolSize) {
+  const Golden& golden = GetParam();
+  const UniformGrid g = sim::makeCloverField(golden.cells);
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    util::ThreadPool pool(workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(exec::threadedBackend());
+    const ClipResult clip = studyClip(ctx, g);
+    EXPECT_EQ(digest(clip.cutPieces, clip.wholeCells), golden.clip);
+    const auto iso = studyIsovolume(ctx, g);
+    EXPECT_EQ(digest(iso.cutPieces, iso.wholeCells), golden.isovolume);
+    EXPECT_EQ(iso.lowClipTets, golden.lowClipTets);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CloverField, ClipGolden,
+    ::testing::Values(Golden{32, "43ae88fe038597b8", "776a2b9d89108c1b", 31764},
+                      Golden{57, "34bf2a1f56eed50f", "10874057fe77e852",
+                             101490}),
+    [](const ::testing::TestParamInfo<Golden>& param) {
+      return "n" + std::to_string(param.param.cells);
+    });
+
+}  // namespace
+}  // namespace pviz::vis
