@@ -140,7 +140,8 @@ void BM_ClipSphere(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.numCells());
 }
-BENCHMARK(BM_ClipSphere)->Arg(16)->Arg(32);
+BENCHMARK(BM_ClipSphere)->Arg(16)->Arg(32)->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Isovolume(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
@@ -153,7 +154,8 @@ void BM_Isovolume(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.numCells());
 }
-BENCHMARK(BM_Isovolume)->Arg(16)->Arg(32);
+BENCHMARK(BM_Isovolume)->Arg(16)->Arg(32)->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Slice(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));

@@ -1,7 +1,8 @@
 // Parallel loop, scan, and compaction primitives used by the kernels:
 // index-based parallelFor, parallelReduce, a parallel three-phase
-// exclusive scan, and deterministic compaction/gather patterns used by
-// filters that emit variable-sized output.
+// exclusive scan, and deterministic compaction.  Filters that emit
+// variable-sized output count per element, exclusiveScan the counts into
+// offsets, allocate once and fill in parallel at those offsets.
 //
 // Every primitive has two forms.  The ExecutionContext form is the real
 // one: it dispatches chunks through the context's exec::Backend (serial /
@@ -211,27 +212,6 @@ std::vector<std::int64_t> parallelSelectOn(const exec::Backend& backend,
   return out;
 }
 
-template <typename T, typename ChunkBody, typename Merge>
-T parallelGatherChunksOn(const exec::Backend& backend, ThreadPool& pool,
-                         CancelToken* cancel, std::int64_t begin,
-                         std::int64_t end, ChunkBody&& body, Merge&& merge,
-                         std::int64_t grain) {
-  T result;
-  if (begin >= end) return result;
-  PVIZ_REQUIRE(grain > 0, "parallelGatherChunks grain must be positive");
-  const std::size_t chunkCount =
-      static_cast<std::size_t>((end - begin + grain - 1) / grain);
-  std::vector<T> partials(chunkCount);
-  dispatchChunks(
-      backend, pool, cancel, begin, end, grain,
-      [&, cancel](std::int64_t b, std::int64_t e) {
-        pollCancel(cancel);
-        body(partials[static_cast<std::size_t>((b - begin) / grain)], b, e);
-      });
-  for (auto& p : partials) merge(result, std::move(p));
-  return result;
-}
-
 }  // namespace detail
 
 // ---- context-taking forms (backend dispatch + chunk cancellation) ------
@@ -306,20 +286,6 @@ std::vector<std::int64_t> parallelSelect(ExecutionContext& ctx, std::int64_t n,
                                   std::forward<Pred>(pred), grain);
 }
 
-/// Chunked map-gather for variable-sized output: `body(local, b, e)`
-/// appends chunk [b, e)'s output into a default-constructed `T`, and
-/// `merge(result, part)` splices partials together **in ascending chunk
-/// order** — unlike a completion-order mutex gather, the concatenated
-/// output is byte-identical on every backend, pool size, and schedule.
-template <typename T, typename ChunkBody, typename Merge>
-T parallelGatherChunks(ExecutionContext& ctx, std::int64_t begin,
-                       std::int64_t end, ChunkBody&& body, Merge&& merge,
-                       std::int64_t grain = kDefaultGrain) {
-  return detail::parallelGatherChunksOn<T>(
-      ctx.backend(), ctx.pool(), &ctx.cancel(), begin, end,
-      std::forward<ChunkBody>(body), std::forward<Merge>(merge), grain);
-}
-
 // ---- compatibility shims (global pool, default backend, no cancel) -----
 
 template <typename Func>
@@ -357,14 +323,6 @@ std::vector<std::int64_t> parallelSelect(std::int64_t n, Pred&& pred,
                                          std::int64_t grain = kScanGrain) {
   return detail::parallelSelectOn(exec::defaultBackend(), ThreadPool::global(),
                                   nullptr, n, std::forward<Pred>(pred), grain);
-}
-
-template <typename T, typename ChunkBody, typename Merge>
-T parallelGatherChunks(std::int64_t begin, std::int64_t end, ChunkBody&& body,
-                       Merge&& merge, std::int64_t grain = kDefaultGrain) {
-  return detail::parallelGatherChunksOn<T>(
-      exec::defaultBackend(), ThreadPool::global(), nullptr, begin, end,
-      std::forward<ChunkBody>(body), std::forward<Merge>(merge), grain);
 }
 
 }  // namespace pviz::util

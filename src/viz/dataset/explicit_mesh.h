@@ -42,13 +42,18 @@ struct TriangleMesh {
     return area;
   }
 
+  /// Append `other`, rebasing its connectivity.  Every array grows
+  /// geometrically, so appending in a loop stays linear overall.
   void append(const TriangleMesh& other) {
     const Id base = numPoints();
     points.insert(points.end(), other.points.begin(), other.points.end());
     pointScalars.insert(pointScalars.end(), other.pointScalars.begin(),
                         other.pointScalars.end());
-    connectivity.reserve(connectivity.size() + other.connectivity.size());
-    for (Id id : other.connectivity) connectivity.push_back(base + id);
+    const std::size_t at = connectivity.size();
+    connectivity.resize(at + other.connectivity.size());
+    for (std::size_t i = 0; i < other.connectivity.size(); ++i) {
+      connectivity[at + i] = base + other.connectivity[i];
+    }
   }
 };
 

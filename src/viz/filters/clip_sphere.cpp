@@ -24,10 +24,10 @@ ClipSphereFilter::Result ClipSphereFilter::run(
   const Id numPoints = grid.numPoints();
 
   // Signed distance from the sphere: positive outside (kept).
-  util::ScratchVector<double> distance(ctx.arena(),
-                                       static_cast<std::size_t>(numPoints));
+  util::ScratchVector<double> distance;
   {
     auto distPhase = ctx.phase("distance-field");
+    distance.acquire(ctx.arena(), static_cast<std::size_t>(numPoints));
     util::parallelFor(ctx, 0, numPoints, [&](Id p) {
       distance[static_cast<std::size_t>(p)] =
           length(grid.pointPosition(p) - center_) - radius_;

@@ -16,8 +16,8 @@
 //   3. Where the global output order is not plain cell order the filter
 //      exposes a layout marker: contour is pass-major
 //      (Result::passTriangles → interleaved (pass, block) gather) and
-//      isovolume's cutPieces is two-part (Result::lowClipTets →
-//      concatenate the low-clip parts, then the boundary parts).
+//      isovolume's cutPieces is two segments (Result::lowClipTets →
+//      every block's lo-cut tets, then every block's hi-cut tets).
 //
 // Filters whose traversal is inherently global (particle advection —
 // trajectories cross seams) run on stitchGlobal(), which reproduces the

@@ -2,9 +2,10 @@
 //
 // Per the paper: like clip, but the implicit function is a scalar range.
 // Cells entirely inside [lo, hi] pass whole; cells entirely outside are
-// dropped; straddling cells are subdivided.  Implemented as two clip
-// stages: keep f >= lo, then keep f <= hi (the second stage re-clips the
-// tet pieces produced by the first).
+// dropped; straddling cells are subdivided.  One pass classifies every
+// cell against both ends: a cell straddling lo is clipped at f >= lo and
+// each piece re-clipped at f <= hi; a cell whole under lo but straddling
+// hi is clipped at f <= hi alone.
 #pragma once
 
 #include "util/compat.h"
@@ -22,9 +23,10 @@ class IsovolumeFilter {
     HexSubset wholeCells;  ///< cells entirely inside the range
     TetMesh cutPieces;     ///< subdivided boundary region
     /// cutPieces layout marker: the first `lowClipTets` tets come from
-    /// re-clipping the stage-1 cut pieces, the rest are the straddling
-    /// boundary tets appended after.  The multi-block stitch needs this
-    /// split to reproduce the global two-part concatenation order.
+    /// the cells straddling lo, the rest from cells whole under lo that
+    /// straddle hi; each segment is in ascending cell order.  The
+    /// multi-block stitch needs this split to reproduce the global
+    /// two-segment order.
     Id lowClipTets = 0;
     KernelProfile profile;
 

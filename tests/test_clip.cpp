@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "viz/filters/clip_common.h"
 #include "viz/filters/clip_sphere.h"
 
@@ -194,24 +198,58 @@ TEST(ClipSphere, ProfileAndParamValidation) {
   EXPECT_EQ(result.profile.elements, g.numCells());
 }
 
-TEST(ClipTetMesh, ReclipsCarriedScalars) {
-  // Build a small tet mesh by clipping, then clip it again by the
-  // carried scalar; all surviving vertices must satisfy the bound.
-  const UniformGrid g = gridWithField(6);
-  std::vector<double> clip(static_cast<std::size_t>(g.numPoints()));
-  for (Id p = 0; p < g.numPoints(); ++p) {
-    clip[static_cast<std::size_t>(p)] = g.pointPosition(p).x - 0.5;
-  }
-  const ClipResult first = clipUniformGrid(g, clip, g.field("x").data());
-  ASSERT_GT(first.cutPieces.numTets(), 0);
-  std::vector<double> second(first.cutPieces.pointScalars.size());
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    second[i] = 0.55 - first.cutPieces.pointScalars[i];  // keep x <= 0.55
-  }
-  const TetMesh reclipped = clipTetMesh(first.cutPieces, second);
-  for (const auto& p : reclipped.points) {
-    ASSERT_GE(p.x, 0.5 - 1e-9);
-    ASSERT_LE(p.x, 0.55 + 1e-9);
+// Exhaustive single-cell fixture: for each of the 256 corner-sign
+// patterns of one hex (nonzero values, a distinct magnitude per corner),
+// the volume kept under s plus the volume kept under -s is the cell, and
+// the count pass's per-cell prediction equals the tets emitted.
+TEST(ClipHexCell, EveryCornerSignPatternTilesTheCell) {
+  util::ThreadPool pool(1);
+  util::ExecutionContext ctx(pool);
+  const UniformGrid g = gridWithField(1);
+  Id pts[8];
+  g.cellPointIds(Id3{0, 0, 0}, pts);
+  const std::vector<double>& carried = g.field("x").data();
+  const double cellVolume = 1.0;
+  for (int pattern = 0; pattern < 256; ++pattern) {
+    SCOPED_TRACE("pattern=" + std::to_string(pattern));
+    double corner[8];
+    double inverse[8];
+    std::vector<double> clip(8);
+    std::vector<double> flipped(8);
+    for (int c = 0; c < 8; ++c) {
+      const double magnitude = 0.15 + 0.1 * c;
+      corner[c] = ((pattern >> c) & 1) != 0 ? magnitude : -magnitude;
+      inverse[c] = -corner[c];
+      clip[static_cast<std::size_t>(pts[c])] = corner[c];
+      flipped[static_cast<std::size_t>(pts[c])] = inverse[c];
+    }
+    const ClipResult kept = clipUniformGrid(ctx, g, clip, carried);
+    const ClipResult dropped = clipUniformGrid(ctx, g, flipped, carried);
+    auto volume = [&](const ClipResult& r) {
+      return static_cast<double>(r.wholeCells.numCells()) * cellVolume +
+             r.cutPieces.totalVolume();
+    };
+    EXPECT_NEAR(volume(kept) + volume(dropped), cellVolume, 1e-12);
+
+    const bool cut = pattern != 0 && pattern != 255;
+    EXPECT_EQ(kept.cellsCut, cut ? 1 : 0);
+    EXPECT_EQ(kept.cutPieces.numTets(), cut ? clippedHexTetCount(corner) : 0);
+    EXPECT_EQ(dropped.cutPieces.numTets(),
+              cut ? clippedHexTetCount(inverse) : 0);
+
+    // The slot writer emits exactly the predicted count, with the
+    // carried field (x) interpolated linearly onto every vertex.
+    Vec3 pos[8];
+    hexCellCorners(g, 0, pos, pts);
+    double carry[8];
+    for (int c = 0; c < 8; ++c) carry[c] = pos[c].x;
+    Vec3 points[4 * kMaxHexClipTets];
+    double scalars[4 * kMaxHexClipTets];
+    const int tets = clipHexCell(pos, corner, carry, points, scalars);
+    EXPECT_EQ(tets, clippedHexTetCount(corner));
+    for (int v = 0; v < 4 * tets; ++v) {
+      EXPECT_NEAR(scalars[v], points[v].x, 1e-12);
+    }
   }
 }
 

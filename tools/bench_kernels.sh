@@ -7,10 +7,15 @@
 #   tools/bench_kernels.sh                 # refresh the "current" section
 #   tools/bench_kernels.sh --set-baseline  # record this run as the baseline
 #   tools/bench_kernels.sh --quick         # single short rep (CI smoke)
+#   tools/bench_kernels.sh --append REGEX  # append matching rows to "trajectory"
 #
 # The baseline and current sections each carry the commit and date they
 # were measured at; "speedup" is baseline/current per kernel.  Compare
-# numbers only when both sections come from the same machine.
+# numbers only when both sections come from the same machine.  --append
+# runs only the benchmarks matching REGEX and appends one trajectory row
+# per benchmark (commit, date, host CPUs, build type, repetitions,
+# median and stddev), leaving every other section alone.  COMMIT=<rev>
+# labels rows measured from another build (BUILD_DIR=...).
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -20,17 +25,24 @@ OUT="${OUT:-$REPO_ROOT/BENCH_kernels.json}"
 REPETITIONS="${REPETITIONS:-5}"
 SET_BASELINE=0
 QUICK=0
+APPEND=""
 
-for arg in "$@"; do
-  case "$arg" in
+while [[ $# -gt 0 ]]; do
+  case "$1" in
     --set-baseline) SET_BASELINE=1 ;;
     --quick) QUICK=1 ;;
+    --append)
+      [[ $# -ge 2 ]] || { echo "--append needs a REGEX" >&2; exit 2; }
+      APPEND="$2"
+      shift
+      ;;
     -h|--help)
-      sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
-    *) echo "unknown option: $arg" >&2; exit 2 ;;
+    *) echo "unknown option: $1" >&2; exit 2 ;;
   esac
+  shift
 done
 
 if [[ ! -x "$BIN" ]]; then
@@ -39,26 +51,31 @@ if [[ ! -x "$BIN" ]]; then
   exit 1
 fi
 
-RAW="$(mktemp /tmp/bench_kernels.XXXXXX.json)"
+RAW="$(mktemp "${TMPDIR:-/tmp}/bench_kernels.XXXXXX.json")"
 trap 'rm -f "$RAW"' EXIT
 
+FILTER=()
+[[ -n "$APPEND" ]] && FILTER=(--benchmark_filter="$APPEND")
+
 if [[ "$QUICK" -eq 1 ]]; then
-  "$BIN" --benchmark_min_time=0.05 \
+  "$BIN" "${FILTER[@]}" --benchmark_min_time=0.05 \
          --benchmark_format=json \
          --benchmark_out="$RAW" --benchmark_out_format=json >/dev/null
 else
-  "$BIN" --benchmark_repetitions="$REPETITIONS" \
+  "$BIN" "${FILTER[@]}" --benchmark_repetitions="$REPETITIONS" \
          --benchmark_report_aggregates_only=true \
          --benchmark_format=json \
          --benchmark_out="$RAW" --benchmark_out_format=json >/dev/null
 fi
 
-COMMIT="$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+COMMIT="${COMMIT:-$(git -C "$REPO_ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)}"
 DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null)"
 
 RAW="$RAW" OUT="$OUT" COMMIT="$COMMIT" DATE="$DATE" \
-SET_BASELINE="$SET_BASELINE" QUICK="$QUICK" python3 - <<'PY'
-import json, os
+SET_BASELINE="$SET_BASELINE" QUICK="$QUICK" APPEND="$APPEND" \
+REPETITIONS="$REPETITIONS" BUILD_TYPE="$BUILD_TYPE" python3 - <<'PY'
+import json, os, sys
 
 raw_path = os.environ["RAW"]
 out_path = os.environ["OUT"]
@@ -69,6 +86,37 @@ raw = json.load(open(raw_path))
 # Benchmarks report in their declared time_unit (->Unit(...)); normalize
 # everything to milliseconds.
 to_ms = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+if os.environ["APPEND"]:
+    ctx = raw.get("context", {})
+    stats = {}
+    for b in raw["benchmarks"]:
+        name, _, stat = b["name"].rpartition("_")
+        if b.get("run_type") == "aggregate" and stat in ("median", "stddev"):
+            ms = b["real_time"] * to_ms[b.get("time_unit", "ns")]
+            stats.setdefault(name, {})[stat] = round(ms, 6)
+        elif quick and b.get("run_type") == "iteration":
+            ms = b["real_time"] * to_ms[b.get("time_unit", "ns")]
+            stats.setdefault(b["name"], {})["median"] = round(ms, 6)
+    doc = json.load(open(out_path)) if os.path.exists(out_path) else {}
+    rows = doc.setdefault("trajectory", [])
+    for name in sorted(stats):
+        rows.append({
+            "commit": os.environ["COMMIT"],
+            "date": os.environ["DATE"],
+            "host_cpus": ctx.get("num_cpus"),
+            "build_type": os.environ["BUILD_TYPE"] or None,
+            "repetitions": 1 if quick else int(os.environ["REPETITIONS"]),
+            "benchmark": name,
+            "median_ms": stats[name].get("median"),
+            "stddev_ms": stats[name].get("stddev"),
+        })
+        print(f"  {name:28s} {stats[name].get('median', 0):10.3f} ms")
+    with open(out_path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=False)
+        f.write("\n")
+    print(f"appended {len(stats)} trajectory rows to {out_path}")
+    sys.exit(0)
 kernels = {}
 rates = {}  # items_per_second, for the throughput-style rows (flow)
 for b in raw["benchmarks"]:
