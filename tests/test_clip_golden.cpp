@@ -9,11 +9,9 @@
 // to count-then-fill output, which must reproduce them bit for bit.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstdio>
 #include <string>
-#include <vector>
 
+#include "golden_digest.h"
 #include "sim/cloverleaf.h"
 #include "util/backend.h"
 #include "util/exec_context.h"
@@ -24,28 +22,7 @@
 namespace pviz::vis {
 namespace {
 
-// FNV-1a 64 with the offset basis ResultCache::hashKey uses, so digests
-// here and in the cache tooling compare directly.
-class Fnv1a64 {
- public:
-  template <typename T>
-  void add(const std::vector<T>& values) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
-    for (std::size_t i = 0; i < values.size() * sizeof(T); ++i) {
-      h_ ^= bytes[i];
-      h_ *= 1099511628211ull;
-    }
-  }
-  std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;
-};
+using pviz::testing::Fnv1a64;
 
 std::string digest(const TetMesh& pieces, const HexSubset& whole) {
   Fnv1a64 h;
