@@ -32,7 +32,9 @@ void* ScratchArena::acquire(std::size_t bytes) {
     it->second.pop_back();
     ++reuseHits_;
   } else {
-    block.data = std::make_unique<std::byte[]>(cls);
+    // Default-initialized: no serial memset under the mutex; the
+    // kernels' parallel writes do the first touch.
+    block.data = std::make_unique_for_overwrite<std::byte[]>(cls);
     block.capacity = cls;
   }
   void* p = block.data.get();
