@@ -33,6 +33,12 @@ VolumeRenderer::Result VolumeRenderer::run(util::ExecutionContext& ctx,
   const double stepSize = diagonal / samplesAcross_;
   const auto [scalarLo, scalarHi] = field.range();
   const std::vector<Camera> cameras = cameraOrbit(box, cameraCount_);
+  // Opacity correction exponent: the step size relative to the reference
+  // step of 256 samples across.  At the default samples-across it is
+  // exactly 1.0, and pow(x, 1.0) == x, so the per-sample pow is skipped
+  // without changing a bit.
+  const double opacityExponent = stepSize / (diagonal / 256.0);
+  const bool unitExponent = opacityExponent == 1.0;
 
   std::atomic<std::int64_t> samplesTaken{0};
 
@@ -69,7 +75,9 @@ VolumeRenderer::Result VolumeRenderer::run(util::ExecutionContext& ctx,
               // Opacity correction for the step size, then front-to-back
               // "over" compositing with early termination.
               const double alpha =
-                  1.0 - std::pow(1.0 - sample.a, stepSize / (diagonal / 256.0));
+                  unitExponent
+                      ? 1.0 - (1.0 - sample.a)
+                      : 1.0 - std::pow(1.0 - sample.a, opacityExponent);
               const double weight = (1.0 - accum.a) * alpha;
               accum.r += weight * sample.r;
               accum.g += weight * sample.g;
