@@ -1,5 +1,6 @@
 #include "viz/filters/contour.h"
 
+#include <array>
 #include <cmath>
 #include <optional>
 
@@ -46,6 +47,40 @@ EdgeVertex interpolateEdge(const Vec3 cornerPos[8], int edge,
   return {lerp(cornerPos[a], cornerPos[b], t), isovalue};
 }
 
+// Vectorized classify of kLanes consecutive cells of one row: each
+// corner is one unit-stride byte stream at a fixed offset into the
+// staged above[] bytes, and the case index is eight ORed corner bits of
+// those streams — branch-free, gather-free, one SIMD OR tree per lane.
+// Three details keep the loop inside -O2's very-cheap vectorizer cost
+// model at the baseline ISA:
+//   * __restrict parameters, so the case stores need no runtime alias
+//     check against the corner streams;
+//   * (0 - s) & bit instead of s << k (the streams hold 0 or 1): SSE2
+//     has byte negate/and/or but no byte shifts;
+//   * a compile-time lane count, so the vector loop needs no peeled
+//     epilogue (rows run in 64-lane blocks plus a one-lane tail).
+template <Id kLanes>
+void caseLanes(const std::uint8_t* __restrict above,
+               const std::array<Id, 8>& corner,
+               std::uint8_t* __restrict caseRow) {
+  const std::uint8_t* s0 = above + corner[0];
+  const std::uint8_t* s1 = above + corner[1];
+  const std::uint8_t* s2 = above + corner[2];
+  const std::uint8_t* s3 = above + corner[3];
+  const std::uint8_t* s4 = above + corner[4];
+  const std::uint8_t* s5 = above + corner[5];
+  const std::uint8_t* s6 = above + corner[6];
+  const std::uint8_t* s7 = above + corner[7];
+  auto bit = [](std::uint8_t s, unsigned b) {
+    return static_cast<std::uint8_t>(static_cast<std::uint8_t>(0u - s) & b);
+  };
+  for (Id i = 0; i < kLanes; ++i) {
+    caseRow[i] = static_cast<std::uint8_t>(
+        s0[i] | bit(s1[i], 2) | bit(s2[i], 4) | bit(s3[i], 8) |
+        bit(s4[i], 16) | bit(s5[i], 32) | bit(s6[i], 64) | bit(s7[i], 128));
+  }
+}
+
 }  // namespace
 
 ContourFilter::Result ContourFilter::run(const UniformGrid& grid,
@@ -80,49 +115,50 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
 
   std::int64_t totalCrossed = 0;
 
-  // Per-pass classify artifacts, kept so every pass is classified before
-  // the output mesh is sized: the case index and scanned triangle
-  // offsets per cell plus the compacted active-cell list.  Isovalue
-  // counts are small (a handful), so holding all passes is cheap — and
-  // it lets the output arrays be allocated exactly once at their final
-  // size instead of growing (realloc + copy) per pass.
+  // Per-pass compacted state, kept so every pass is classified before
+  // the output mesh is sized: the ascending active-cell list, each
+  // active cell's case index, and its scanned triangle offsets
+  // (nActive + 1 entries).  Only a few percent of cells are crossed, so
+  // holding every pass is cheap — and it lets the output arrays be
+  // allocated exactly once at their final size instead of growing
+  // (realloc + copy) per pass.  The full-grid above/case bytes are
+  // rewritten by every pass, so one pair serves them all.
   struct Pass {
-    util::ScratchVector<std::uint8_t> caseOf;
-    util::ScratchVector<std::int64_t> offsets;
     std::vector<std::int64_t> active;
+    std::vector<std::uint8_t> cases;
+    std::vector<std::int64_t> offsets;
     std::int64_t triangles = 0;
   };
   std::vector<Pass> passData(isovalues_.size());
-  util::ScratchVector<std::uint8_t> above(ctx.arena(),
-                                          static_cast<std::size_t>(numPoints));
+  util::ScratchVector<std::uint8_t> above;
+  util::ScratchVector<std::uint8_t> caseOf;
   std::int64_t totalTriangles = 0;
   std::optional<util::ExecutionContext::PhaseScope> phase;
 
   for (std::size_t pi = 0; pi < isovalues_.size(); ++pi) {
     const double isovalue = isovalues_[pi];
     Pass& pass = passData[pi];
-    pass.caseOf.acquire(ctx.arena(), static_cast<std::size_t>(numCells));
-    pass.offsets.acquire(ctx.arena(), static_cast<std::size_t>(numCells) + 1);
 
     phase.emplace(ctx, "mc-classify");
+    if (pi == 0) {
+      above.acquire(ctx.arena(), static_cast<std::size_t>(numPoints));
+      caseOf.acquire(ctx.arena(), static_cast<std::size_t>(numCells));
+    }
     // --- Pass 1: classify — compare each point once, then assemble the
-    // MC case per cell from the cached above/below bytes, caching the
-    // case index and the triangle count.  Cells are swept as i-rows with
-    // incremental index stepping (no per-cell ijk decode).
+    // MC case per cell from the cached above/below bytes.  Cells are
+    // swept as i-rows with incremental index stepping (no per-cell ijk
+    // decode).
     //
     // Scalar variant: within a row the case is stepped from its
     // predecessor — the shared face's four corners (bits 1,2,5,6)
     // become bits 0,3,4,7, so only four corners are loaded per cell.
     //
-    // Vectorized variant: the recycling trick carries a loop-to-loop
-    // dependency the compiler cannot vectorize, so instead each corner
-    // becomes one unit-stride byte stream at a fixed offset into the
-    // staged above[] buffer, and the case index is eight shifted ORs of
-    // those streams — eight loads per cell but branch-free, gather-free,
-    // and auto-vectorizable (one SIMD OR tree per lane).  The table
-    // lookup (a gather) moves to its own pass so it cannot inhibit the
-    // case loop.  Both variants compute the same integers, so the
-    // offsets, the active list, and the mesh stay bit-identical.
+    // Vectorized variant (caseLanes): the recycling trick carries a
+    // loop-to-loop dependency the compiler cannot vectorize, so instead
+    // all eight corners are loaded per cell from unit-stride streams —
+    // branch-free and auto-vectorizable.  Both variants compute the same
+    // case bytes, so the active list, the offsets, and the mesh stay
+    // bit-identical.
     const bool vectorize = ctx.backend().vectorized();
     util::parallelFor(ctx, 0, numPoints, [&](Id p) {
       above[static_cast<std::size_t>(p)] =
@@ -135,32 +171,17 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
             Id cell = row * rowLen;
             Id base = grid.cellRowFirstPointId(row);
             if (vectorize) {
+              constexpr Id kBlock = 64;
               const std::uint8_t* abv =
                   above.data() + static_cast<std::size_t>(base);
-              const std::uint8_t* s0 = abv + corner[0];
-              const std::uint8_t* s1 = abv + corner[1];
-              const std::uint8_t* s2 = abv + corner[2];
-              const std::uint8_t* s3 = abv + corner[3];
-              const std::uint8_t* s4 = abv + corner[4];
-              const std::uint8_t* s5 = abv + corner[5];
-              const std::uint8_t* s6 = abv + corner[6];
-              const std::uint8_t* s7 = abv + corner[7];
               std::uint8_t* caseRow =
-                  pass.caseOf.data() + static_cast<std::size_t>(cell);
-              // Local trip count: the byte stores through caseRow may
-              // alias the by-reference capture of rowLen as far as the
-              // vectorizer can prove, which blocks the sweep.
-              const Id n = rowLen;
-              for (Id i = 0; i < n; ++i) {
-                caseRow[i] = static_cast<std::uint8_t>(
-                    s0[i] | (s1[i] << 1) | (s2[i] << 2) | (s3[i] << 3) |
-                    (s4[i] << 4) | (s5[i] << 5) | (s6[i] << 6) |
-                    (s7[i] << 7));
+                  caseOf.data() + static_cast<std::size_t>(cell);
+              Id i = 0;
+              for (; i + kBlock <= rowLen; i += kBlock) {
+                caseLanes<kBlock>(abv + i, corner, caseRow + i);
               }
-              std::int64_t* countRow =
-                  pass.offsets.data() + static_cast<std::size_t>(cell);
-              for (Id i = 0; i < n; ++i) {
-                countRow[i] = tables.triangleCount[caseRow[i]];
+              for (; i < rowLen; ++i) {
+                caseLanes<1>(abv + i, corner, caseRow + i);
               }
               continue;
             }
@@ -182,54 +203,56 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
                     (above[static_cast<std::size_t>(base + corner[5])] << 5) |
                     (above[static_cast<std::size_t>(base + corner[6])] << 6);
               }
-              pass.caseOf[static_cast<std::size_t>(cell)] =
+              caseOf[static_cast<std::size_t>(cell)] =
                   static_cast<std::uint8_t>(caseIndex);
-              pass.offsets[static_cast<std::size_t>(cell)] =
-                  tables.triangleCount[static_cast<std::size_t>(caseIndex)];
             }
           }
         },
         rowGrain);
 
     phase.emplace(ctx, "mc-scan");
-    // Compacted active-cell list: the generate pass visits only crossed
-    // cells.
+    // Compact the crossed cells, then count and scan over them alone:
+    // the scan touches nActive + 1 entries instead of every cell.
     pass.active = util::parallelSelect(ctx, numCells, [&](std::int64_t cell) {
-      return pass.offsets[static_cast<std::size_t>(cell)] > 0;
+      return tables.triangleCount[caseOf[static_cast<std::size_t>(cell)]] > 0;
     });
-    totalCrossed += static_cast<std::int64_t>(pass.active.size());
-
-    pass.offsets[static_cast<std::size_t>(numCells)] = 0;
-    pass.triangles = util::exclusiveScan(ctx, pass.offsets.data(),
-                                         numCells + 1);
+    const Id nActive = static_cast<Id>(pass.active.size());
+    totalCrossed += nActive;
+    pass.cases.resize(static_cast<std::size_t>(nActive));
+    pass.offsets.resize(static_cast<std::size_t>(nActive) + 1);
+    util::parallelFor(ctx, 0, nActive, [&](Id n) {
+      const auto at = static_cast<std::size_t>(n);
+      const std::uint8_t c =
+          caseOf[static_cast<std::size_t>(pass.active[at])];
+      pass.cases[at] = c;
+      pass.offsets[at] = tables.triangleCount[c];
+    });
+    pass.triangles = util::exclusiveScan(ctx, pass.offsets);
     totalTriangles += pass.triangles;
     result.passTriangles.push_back(pass.triangles);
   }
-  phase.reset();
 
   // --- Pass 2: generate — interpolate and write triangles for the
   // crossed cells only, re-reading the cached case index instead of
   // re-classifying the corners.  Output goes straight into the result
   // mesh at a per-pass base offset (no per-pass staging mesh + append
   // copy); the layout matches what sequential appends would produce.
+  phase.emplace(ctx, "mc-generate");
   TriangleMesh& surface = result.surface;
   surface.points.resize(static_cast<std::size_t>(totalTriangles) * 3);
   surface.pointScalars.resize(static_cast<std::size_t>(totalTriangles) * 3);
   surface.connectivity.resize(static_cast<std::size_t>(totalTriangles) * 3);
 
-  phase.emplace(ctx, "mc-generate");
   std::size_t passBase = 0;
   for (std::size_t pi = 0; pi < isovalues_.size(); ++pi) {
     const double isovalue = isovalues_[pi];
     const Pass& pass = passData[pi];
-    const std::int64_t* offsets = pass.offsets.data();
-    const std::uint8_t* caseOf = pass.caseOf.data();
 
     util::parallelFor(ctx, 0, static_cast<Id>(pass.active.size()), [&](Id n) {
       const Id cell = pass.active[static_cast<std::size_t>(n)];
-      const std::int64_t first = offsets[static_cast<std::size_t>(cell)];
+      const std::int64_t first = pass.offsets[static_cast<std::size_t>(n)];
       const std::int64_t count =
-          offsets[static_cast<std::size_t>(cell) + 1] - first;
+          pass.offsets[static_cast<std::size_t>(n) + 1] - first;
 
       const Id3 c = grid.cellIjk(cell);
       const Id base = grid.pointId(c);
@@ -241,7 +264,7 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
                                               c.j + kCornerIjk[i][1],
                                               c.k + kCornerIjk[i][2]});
       }
-      const int caseIndex = caseOf[static_cast<std::size_t>(cell)];
+      const int caseIndex = pass.cases[static_cast<std::size_t>(n)];
 
       // Estimate the field gradient from corner differences; used to give
       // every triangle a consistent orientation (normal toward lower

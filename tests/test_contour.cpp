@@ -3,8 +3,14 @@
 
 #include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
+#include "util/backend.h"
+#include "util/exec_context.h"
+#include "util/thread_pool.h"
 #include "viz/filters/contour.h"
+#include "viz/filters/mc_tables.h"
 
 namespace pviz::vis {
 namespace {
@@ -173,6 +179,98 @@ TEST(Contour, ProfileReflectsWork) {
   ASSERT_EQ(result.profile.phases.size(), 3u);
   EXPECT_GT(result.profile.totalInstructions(), 0.0);
   EXPECT_GT(result.profile.totalBytesStreamed(), 0.0);
+}
+
+// One hex cell with corner c at +-(0.15 + 0.1 c): bit c of `pattern`
+// puts the corner above the isovalue 0, so the MC case equals `pattern`
+// and no corner ever sits on the isovalue.
+UniformGrid singleCellGrid(int pattern, double corner[8]) {
+  UniformGrid g = UniformGrid::cube(1);
+  Id pts[8];
+  g.cellPointIds(Id3{0, 0, 0}, pts);
+  Field f = Field::zeros("v", Association::Points, 1, g.numPoints());
+  for (int c = 0; c < 8; ++c) {
+    const double magnitude = 0.15 + 0.1 * c;
+    corner[c] = ((pattern >> c) & 1) != 0 ? magnitude : -magnitude;
+    f.setScalar(pts[c], corner[c]);
+  }
+  g.addField(std::move(f));
+  return g;
+}
+
+TEST(ContourCell, EveryCornerSignPatternCutsItsOwnEdges) {
+  const McTables& tables = McTables::instance();
+  std::vector<TriangleMesh> reference;
+  for (int pattern = 0; pattern < 256; ++pattern) {
+    SCOPED_TRACE("pattern=" + std::to_string(pattern));
+    double corner[8];
+    const UniformGrid g = singleCellGrid(pattern, corner);
+    Id pts[8];
+    g.cellPointIds(Id3{0, 0, 0}, pts);
+    util::ThreadPool pool(1);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(exec::serialBackend());
+    ContourFilter filter;
+    filter.setIsovalues({0.0});
+    const TriangleMesh mesh = filter.run(ctx, g, "v").surface;
+    EXPECT_EQ(mesh.numTriangles(), tables.triangleCount[pattern]);
+
+    // Each vertex sits on exactly one cube edge, strictly inside it, and
+    // that edge's corners straddle the isovalue.
+    auto within = [](double x, double lo, double hi) {
+      if (lo == hi) return x == lo;
+      return x > std::min(lo, hi) && x < std::max(lo, hi);
+    };
+    for (std::size_t v = 0; v < mesh.points.size(); ++v) {
+      EXPECT_EQ(mesh.pointScalars[v], 0.0);
+      const Vec3& p = mesh.points[v];
+      int hits = 0;
+      for (int e = 0; e < 12; ++e) {
+        const int a = McTables::kEdgeCorners[e][0];
+        const int b = McTables::kEdgeCorners[e][1];
+        const Vec3 pa = g.pointPosition(pts[a]);
+        const Vec3 pb = g.pointPosition(pts[b]);
+        if (!within(p.x, pa.x, pb.x) || !within(p.y, pa.y, pb.y) ||
+            !within(p.z, pa.z, pb.z)) {
+          continue;
+        }
+        ++hits;
+        EXPECT_NE(corner[a] >= 0.0, corner[b] >= 0.0) << "edge " << e;
+      }
+      EXPECT_EQ(hits, 1) << "vertex " << v;
+    }
+    reference.push_back(mesh);
+  }
+
+  // Every backend x pool size reproduces the serial meshes bit for bit.
+  for (const exec::Backend* backend :
+       {&exec::serialBackend(), &exec::threadedBackend(),
+        &exec::vectorizedBackend()}) {
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(backend->token()) + " backend, pool " +
+                   std::to_string(workers));
+      util::ThreadPool pool(workers);
+      util::ExecutionContext ctx(pool);
+      ctx.setBackend(*backend);
+      for (int pattern = 0; pattern < 256; ++pattern) {
+        double corner[8];
+        const UniformGrid g = singleCellGrid(pattern, corner);
+        ContourFilter filter;
+        filter.setIsovalues({0.0});
+        const TriangleMesh mesh = filter.run(ctx, g, "v").surface;
+        const TriangleMesh& ref =
+            reference[static_cast<std::size_t>(pattern)];
+        ASSERT_EQ(mesh.points.size(), ref.points.size()) << pattern;
+        for (std::size_t i = 0; i < mesh.points.size(); ++i) {
+          EXPECT_EQ(mesh.points[i].x, ref.points[i].x) << pattern;
+          EXPECT_EQ(mesh.points[i].y, ref.points[i].y) << pattern;
+          EXPECT_EQ(mesh.points[i].z, ref.points[i].z) << pattern;
+        }
+        EXPECT_EQ(mesh.pointScalars, ref.pointScalars) << pattern;
+        EXPECT_EQ(mesh.connectivity, ref.connectivity) << pattern;
+      }
+    }
+  }
 }
 
 // Property sweep: area of a sphere contour tracks r^2 across isovalues,

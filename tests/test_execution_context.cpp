@@ -13,16 +13,25 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "core/study.h"
+#include "golden_digest.h"
 #include "service/engine.h"
 #include "service/metrics.h"
 #include "sim/cloverleaf.h"
 #include "util/exec_context.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
+#include "viz/filters/clip_sphere.h"
 #include "viz/filters/contour.h"
+#include "viz/filters/isovolume.h"
+#include "viz/filters/particle_advection.h"
+#include "viz/filters/threshold.h"
+#include "viz/rendering/external_faces.h"
 #include "viz/rendering/ray_tracer.h"
 
 namespace pviz {
@@ -78,6 +87,157 @@ TEST(ScratchArena, ScratchVectorReleasesOnDestruction) {
   }
   EXPECT_EQ(arena.stats().bytesInUse, 0u);
   EXPECT_EQ(arena.stats().blocksPooled, 1u);
+}
+
+// Fill `perClass` blocks of every size class up to `largest` bytes with
+// 0xA5 and return them to the pool, so the next acquires see garbage.
+void poisonArena(ScratchArena& arena, std::size_t largest, int perClass) {
+  for (std::size_t cls = ScratchArena::sizeClass(1);
+       cls <= ScratchArena::sizeClass(largest); cls *= 2) {
+    std::vector<void*> blocks;
+    for (int i = 0; i < perClass; ++i) {
+      blocks.push_back(arena.acquire(cls));
+      std::memset(blocks.back(), 0xA5, cls);
+    }
+    for (void* block : blocks) arena.release(block);
+  }
+}
+
+// Acquire leaves blocks uninitialized, so every ScratchVector user must
+// write each element before reading it.  Each kernel runs once on a fresh
+// context and once on a warm context whose pool was just poisoned; every
+// poisoned-run acquire must come from the pool, and the outputs must
+// match bit for bit.
+TEST(ScratchArena, PoisonedPoolLeavesEveryKernelBitIdentical) {
+  const vis::UniformGrid g = sim::makeCloverField(20);
+  const auto [lo, hi] = g.field("energy").range();
+  using Kernel = std::function<std::string(ExecutionContext&)>;
+  const std::vector<std::pair<std::string, Kernel>> kernels = {
+      {"contour",
+       [&](ExecutionContext& ctx) {
+         vis::ContourFilter filter;
+         filter.setIsovalues(
+             vis::ContourFilter::uniformIsovalues(g.field("energy"), 10));
+         const vis::TriangleMesh m = filter.run(ctx, g, "energy").surface;
+         testing::Fnv1a64 h;
+         h.add(m.points);
+         h.add(m.pointScalars);
+         h.add(m.connectivity);
+         return h.hex();
+       }},
+      {"threshold",
+       [&](ExecutionContext& ctx) {
+         vis::ThresholdFilter filter;
+         filter.setRange(lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo));
+         const vis::HexSubset kept = filter.run(ctx, g, "energy").kept;
+         testing::Fnv1a64 h;
+         h.add(kept.cellIds);
+         h.add(kept.cellScalars);
+         return h.hex();
+       }},
+      {"clip",
+       [&](ExecutionContext& ctx) {
+         vis::ClipSphereFilter filter;
+         const vis::Bounds box = g.bounds();
+         filter.setSphere(box.center(), 0.3 * length(box.extent()));
+         const vis::ClipResult r = filter.run(ctx, g, "energy").clipped;
+         testing::Fnv1a64 h;
+         h.add(r.cutPieces.points);
+         h.add(r.cutPieces.pointScalars);
+         h.add(r.cutPieces.connectivity);
+         h.add(r.wholeCells.cellIds);
+         h.add(r.wholeCells.cellScalars);
+         return h.hex();
+       }},
+      {"isovolume",
+       [&](ExecutionContext& ctx) {
+         vis::IsovolumeFilter filter;
+         filter.setRange(lo + 0.4 * (hi - lo), lo + 0.8 * (hi - lo));
+         const auto r = filter.run(ctx, g, "energy");
+         testing::Fnv1a64 h;
+         h.add(r.cutPieces.points);
+         h.add(r.cutPieces.pointScalars);
+         h.add(r.cutPieces.connectivity);
+         h.add(r.wholeCells.cellIds);
+         h.add(r.wholeCells.cellScalars);
+         return h.hex();
+       }},
+      {"external-faces",
+       [&](ExecutionContext& ctx) {
+         const vis::TriangleMesh m =
+             vis::extractExternalFaces(ctx, g, "energy").mesh;
+         testing::Fnv1a64 h;
+         h.add(m.points);
+         h.add(m.pointScalars);
+         h.add(m.connectivity);
+         return h.hex();
+       }},
+      {"advection",
+       [&](ExecutionContext& ctx) {
+         vis::ParticleAdvectionFilter filter;
+         filter.setSeedCount(200);
+         filter.setMaxSteps(100);
+         const vis::PolylineSet lines =
+             filter.run(ctx, g, "velocity").streamlines;
+         testing::Fnv1a64 h;
+         h.add(lines.points);
+         h.add(lines.offsets);
+         h.add(lines.pointScalars);
+         return h.hex();
+       }},
+  };
+
+  ThreadPool pool(4);
+  ExecutionContext warm(pool);
+  for (const auto& [name, kernel] : kernels) {
+    SCOPED_TRACE(name);
+    ExecutionContext fresh(pool);
+    const std::string expected = kernel(fresh);
+    // The fresh run's pooled bytes bound its largest single request.
+    const ScratchArena::Stats freshStats = fresh.arena().stats();
+    ASSERT_GT(freshStats.acquires, 0u);
+    poisonArena(warm.arena(), freshStats.bytesPooled, 8);
+
+    const ScratchArena::Stats before = warm.arena().stats();
+    EXPECT_EQ(kernel(warm), expected);
+    const ScratchArena::Stats after = warm.arena().stats();
+    EXPECT_EQ(after.reuseHits - before.reuseHits,
+              after.acquires - before.acquires)
+        << "a request missed the poisoned pool";
+    EXPECT_EQ(after.bytesInUse, 0u);
+  }
+}
+
+// Contour holds one full-grid above/case pair for all isovalue passes;
+// each pass keeps only its compacted active-cell state off the arena.
+// Every mc-* phase must therefore end at the same arena occupancy (no
+// pass acquires inside an earlier pass's phases), and the peak stays at
+// the two full-grid byte arrays however many passes run.
+TEST(ScratchArena, ContourPassesShareOneFullGridFootprint) {
+  const vis::UniformGrid g = sim::makeCloverField(64);
+  vis::ContourFilter filter;
+  filter.setIsovalues(
+      vis::ContourFilter::uniformIsovalues(g.field("energy"), 10));
+  ThreadPool pool(4);
+  ExecutionContext ctx(pool);
+  ctx.beginRun();
+  const auto result = filter.run(ctx, g, "energy");
+  ASSERT_GT(result.surface.numTriangles(), 0);
+
+  int mcPhases = 0;
+  std::size_t inUse = 0;
+  for (const auto& phase : ctx.tracer().phases()) {
+    if (phase.name.rfind("mc-", 0) != 0) continue;
+    SCOPED_TRACE(phase.name + " #" + std::to_string(mcPhases));
+    if (mcPhases++ == 0) inUse = phase.arenaBytesInUse;
+    EXPECT_EQ(phase.arenaBytesInUse, inUse);
+  }
+  EXPECT_EQ(mcPhases, 10 * 2 + 1);  // classify + scan per pass, generate
+  EXPECT_GT(inUse, 0u);
+  const auto points = static_cast<std::size_t>(g.numPoints());
+  const auto cells = static_cast<std::size_t>(g.numCells());
+  EXPECT_LE(ctx.arena().stats().peakBytesInUse,
+            ScratchArena::sizeClass(points) + ScratchArena::sizeClass(cells));
 }
 
 // ---- CancelToken --------------------------------------------------------
