@@ -62,7 +62,8 @@ void BM_Contour(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * g.numCells() * 3);
 }
-BENCHMARK(BM_Contour)->Arg(16)->Arg(32);
+BENCHMARK(BM_Contour)->Arg(16)->Arg(32)->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 // Arena-reuse mode: the same kernel over one persistent ExecutionContext.
 // The plain BM_Contour above goes through the compatibility shim, which
@@ -499,6 +500,20 @@ void BM_VolumeRender(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VolumeRender);
+
+// The study's volume-rendering shape: 128³, eight orbit cameras at 512²,
+// default samples-across (the ray-march's opacity exponent is 1.0).
+void BM_VolumeRenderStudy(benchmark::State& state) {
+  const vis::UniformGrid& g = grid(state.range(0));
+  vis::VolumeRenderer renderer;
+  renderer.setImageSize(512, 512);
+  renderer.setCameraCount(8);
+  for (auto _ : state) {
+    util::ExecutionContext cold;
+    benchmark::DoNotOptimize(renderer.run(cold, g, "energy").samplesTaken);
+  }
+}
+BENCHMARK(BM_VolumeRenderStudy)->Arg(128)->Unit(benchmark::kMillisecond);
 
 // --- Telemetry cost -------------------------------------------------
 //
