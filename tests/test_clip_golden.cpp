@@ -7,6 +7,8 @@
 // Any change to tet order, vertex arithmetic or cell selection changes
 // the digest; the values were recorded before clip and isovolume moved
 // to count-then-fill output, which must reproduce them bit for bit.
+// n = 75 gives 75-cell rows, so the classify sweep runs one full 64-lane
+// block plus an 11-cell tail; the smaller sizes run the tail alone.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -78,7 +80,9 @@ INSTANTIATE_TEST_SUITE_P(
     CloverField, ClipGolden,
     ::testing::Values(Golden{32, "43ae88fe038597b8", "776a2b9d89108c1b", 31764},
                       Golden{57, "34bf2a1f56eed50f", "10874057fe77e852",
-                             101490}),
+                             101490},
+                      Golden{75, "f1450d2a30ad108a", "d6e55dd4bae00ef1",
+                             175950}),
     [](const ::testing::TestParamInfo<Golden>& param) {
       return "n" + std::to_string(param.param.cells);
     });
