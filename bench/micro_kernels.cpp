@@ -342,10 +342,9 @@ BENCHMARK(BM_ExternalFacesArenaReuse)->Arg(16)->Arg(32);
 // --- Backend comparison ---------------------------------------------
 //
 // The same kernel pinned to each execution backend (see DESIGN §11) at
-// the study-scale 128³/256³ tiers.  All backends are bit-identical, so
-// the delta is pure dispatch + code-path cost: `vectorized` runs the
-// filters' SoA row sweeps (auto-vectorized at -O3), `threaded` and
-// `serial` run the scalar incremental paths.  Names land in
+// the study-scale 128³/256³ tiers.  Both backends run the same inner
+// loop and are bit-identical, so the delta is pure dispatch cost: serial
+// on the calling thread vs chunks over the pool.  Names land in
 // BENCH_kernels.json as BM_<Kernel>Backend/<backend>/<size> — the
 // per-backend columns the bench table in the README is built from.
 
@@ -367,9 +366,6 @@ BENCHMARK_CAPTURE(BM_ContourBackend, serial, exec::BackendKind::Serial)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ContourBackend, threaded, exec::BackendKind::Threaded)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ContourBackend, vectorized,
-                  exec::BackendKind::Vectorized)
-    ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_ThresholdBackend(benchmark::State& state, exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
@@ -386,9 +382,6 @@ void BM_ThresholdBackend(benchmark::State& state, exec::BackendKind kind) {
 BENCHMARK_CAPTURE(BM_ThresholdBackend, serial, exec::BackendKind::Serial)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ThresholdBackend, threaded, exec::BackendKind::Threaded)
-    ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ThresholdBackend, vectorized,
-                  exec::BackendKind::Vectorized)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_ExternalFacesBackend(benchmark::State& state,
@@ -408,9 +401,6 @@ BENCHMARK_CAPTURE(BM_ExternalFacesBackend, serial, exec::BackendKind::Serial)
 BENCHMARK_CAPTURE(BM_ExternalFacesBackend, threaded,
                   exec::BackendKind::Threaded)
     ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExternalFacesBackend, vectorized,
-                  exec::BackendKind::Vectorized)
-    ->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
@@ -428,9 +418,6 @@ void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
 BENCHMARK_CAPTURE(BM_ClipSphereBackend, serial, exec::BackendKind::Serial)
     ->Arg(128)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ClipSphereBackend, threaded, exec::BackendKind::Threaded)
-    ->Arg(128)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ClipSphereBackend, vectorized,
-                  exec::BackendKind::Vectorized)
     ->Arg(128)->Unit(benchmark::kMillisecond);
 
 void BM_BvhBuild(benchmark::State& state) {

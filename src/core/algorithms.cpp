@@ -313,13 +313,6 @@ vis::Id defaultGhostLayers() {
   return value;
 }
 
-vis::KernelProfile runAlgorithm(Algorithm algorithm,
-                                const vis::UniformGrid& grid,
-                                const AlgorithmParams& params) {
-  util::ExecutionContext ctx;
-  return runAlgorithm(ctx, algorithm, grid, params);
-}
-
 vis::KernelProfile runAlgorithm(util::ExecutionContext& ctx,
                                 Algorithm algorithm,
                                 const vis::UniformGrid& grid,

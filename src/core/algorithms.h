@@ -133,11 +133,6 @@ vis::KernelProfile runAlgorithm(util::ExecutionContext& ctx,
                                 const vis::UniformGrid& grid,
                                 const AlgorithmParams& params = {});
 
-/// Compatibility shim: run on a fresh context over the global pool.
-vis::KernelProfile runAlgorithm(Algorithm algorithm,
-                                const vis::UniformGrid& grid,
-                                const AlgorithmParams& params = {});
-
 /// The framework-overhead phase for `launches` worklet dispatches;
 /// exposed for tests.
 vis::WorkProfile frameworkOverheadPhase(int launches);

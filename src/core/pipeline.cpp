@@ -7,11 +7,6 @@
 
 namespace pviz::core {
 
-PipelineReport runInSituPipeline(const PipelineConfig& config) {
-  util::ExecutionContext ctx;
-  return runInSituPipeline(ctx, config);
-}
-
 PipelineReport runInSituPipeline(util::ExecutionContext& ctx,
                                  const PipelineConfig& config) {
   PVIZ_REQUIRE(config.cycles >= 1, "pipeline needs at least one cycle");

@@ -8,8 +8,6 @@
 // the simulation the headroom (see power_advisor.h).
 #pragma once
 
-#include "util/compat.h"
-
 #include <vector>
 
 #include "core/algorithms.h"
@@ -58,9 +56,5 @@ struct PipelineReport {
 /// so visualization scratch is reused rather than reallocated per cycle.
 PipelineReport runInSituPipeline(util::ExecutionContext& ctx,
                                  const PipelineConfig& config);
-
-/// Compatibility shim: run on a fresh context over the global pool.
-PVIZ_CONTEXT_SHIM
-PipelineReport runInSituPipeline(const PipelineConfig& config);
 
 }  // namespace pviz::core

@@ -37,11 +37,6 @@ Request ServiceEngine::normalize(const Request& request) const {
   return out;
 }
 
-ServiceEngine::Outcome ServiceEngine::handle(const Request& rawRequest) {
-  util::ExecutionContext ctx;
-  return handle(ctx, rawRequest);
-}
-
 ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
                                              const Request& rawRequest) {
   PVIZ_REQUIRE(rawRequest.op != Op::Stats && rawRequest.op != Op::Metrics &&

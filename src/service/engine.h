@@ -43,8 +43,8 @@ struct EngineConfig {
   /// park the whole worker pool.
   double maxPingDelayMs = 10000.0;
   /// Execution backend for requests that don't name one ("serial" /
-  /// "threaded" / "vectorized"; empty = process default, i.e.
-  /// POWERVIZ_BACKEND or threaded).  A request's own `backend` field
+  /// "threaded"; empty = process default, i.e. POWERVIZ_BACKEND or
+  /// threaded).  A request's own `backend` field
   /// overrides this per request.
   std::string backend;
 };
@@ -65,9 +65,6 @@ class ServiceEngine {
   /// util::CancelledError, and a cancelled request never reaches the
   /// result cache (the put happens only after execution completes).
   Outcome handle(util::ExecutionContext& ctx, const Request& request);
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  Outcome handle(const Request& request);
 
   /// Fill engine defaults into a request (caps, sizes, cycles, steps).
   Request normalize(const Request& request) const;

@@ -135,9 +135,8 @@ struct Request {
   /// (0 = server default).
   int eventsLimit = 0;
 
-  /// Execution backend for this request's kernels:
-  /// "serial"/"threaded"/"vectorized", or empty for the server's
-  /// default.  Valid on any op; not part of the cache key — backends
+  /// Execution backend for this request's kernels: "serial" or
+  /// "threaded", or empty for the server's default.  Valid on any op; not part of the cache key — backends
   /// are bit-identical by contract, so the same request on a different
   /// backend must hit the same cache entry.
   std::string backend;

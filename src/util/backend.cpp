@@ -32,10 +32,8 @@ class SerialBackend final : public Backend {
 };
 
 /// Chunks are handed out from the pool's atomic cursor — the
-/// pre-backend dispatch, shared by the threaded and vectorized kinds
-/// (vectorization changes the chunk *bodies* the filters submit, not
-/// who runs them).
-class ThreadedBackend : public Backend {
+/// pre-backend dispatch.
+class ThreadedBackend final : public Backend {
  public:
   BackendKind kind() const noexcept override { return BackendKind::Threaded; }
 
@@ -50,13 +48,6 @@ class ThreadedBackend : public Backend {
 
   unsigned concurrency(const util::ThreadPool& pool) const noexcept override {
     return pool.concurrency();
-  }
-};
-
-class VectorizedBackend final : public ThreadedBackend {
- public:
-  BackendKind kind() const noexcept override {
-    return BackendKind::Vectorized;
   }
 };
 
@@ -77,18 +68,16 @@ const char* backendToken(BackendKind kind) {
   switch (kind) {
     case BackendKind::Serial: return "serial";
     case BackendKind::Threaded: return "threaded";
-    case BackendKind::Vectorized: return "vectorized";
   }
   return "?";
 }
 
 BackendKind parseBackendToken(const std::string& token) {
-  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded,
-                           BackendKind::Vectorized}) {
+  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
     if (token == backendToken(kind)) return kind;
   }
   throw Error("unknown backend '" + token +
-              "' (expected serial threaded vectorized)");
+              "' (expected serial threaded)");
 }
 
 const Backend& serialBackend() noexcept {
@@ -101,16 +90,10 @@ const Backend& threadedBackend() noexcept {
   return backend;
 }
 
-const Backend& vectorizedBackend() noexcept {
-  static const VectorizedBackend backend;
-  return backend;
-}
-
 const Backend& backendFor(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::Serial: return serialBackend();
     case BackendKind::Threaded: return threadedBackend();
-    case BackendKind::Vectorized: return vectorizedBackend();
   }
   return threadedBackend();
 }

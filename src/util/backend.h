@@ -11,18 +11,14 @@
 // A Backend is a stateless dispatch policy:
 //
 //   serial      every chunk runs in order on the calling thread.  The
-//               reference backend: determinism suites compare the other
-//               backends' output against it byte for byte.
+//               reference backend: determinism suites compare the
+//               threaded backend's output against it byte for byte.
 //   threaded    chunks are handed to the context's ThreadPool (the
 //               pre-backend behavior, and the default).
-//   vectorized  thread-pool dispatch plus a flag the filter inner loops
-//               read to select their explicitly vectorizable variants —
-//               SoA staging buffers, cache-blocked row sweeps, and
-//               branch-free classification the compiler can auto-
-//               vectorize.  Outputs are REQUIRED to stay bit-identical
-//               to the serial backend (the kernel-determinism suite
-//               iterates all backends); only the schedule and the
-//               instruction mix may differ.
+//
+// The backend chooses only who runs a chunk, never how a chunk is
+// computed: every kernel has exactly one inner loop, so outputs are
+// bit-identical on both backends by construction.
 //
 // Backends are immutable singletons — selection is a pointer swap on the
 // ExecutionContext, never an allocation.  Selection precedence, highest
@@ -30,7 +26,7 @@
 //
 //   1. per-request: the service protocol's `backend` field,
 //   2. per-process: `--backend` on the tools / EngineConfig::backend,
-//   3. environment: POWERVIZ_BACKEND=serial|threaded|vectorized,
+//   3. environment: POWERVIZ_BACKEND=serial|threaded,
 //   4. built-in default: threaded.
 #pragma once
 
@@ -44,9 +40,9 @@ class CancelToken;
 
 namespace pviz::exec {
 
-enum class BackendKind { Serial, Threaded, Vectorized };
+enum class BackendKind { Serial, Threaded };
 
-/// Wire/CLI token for a backend kind ("serial", "threaded", "vectorized").
+/// Wire/CLI token for a backend kind ("serial", "threaded").
 const char* backendToken(BackendKind kind);
 /// Parse a token; throws pviz::Error naming the valid tokens.
 BackendKind parseBackendToken(const std::string& token);
@@ -78,19 +74,12 @@ class Backend {
   /// their single-sweep path exactly when execution is single-threaded.
   virtual unsigned concurrency(const util::ThreadPool& pool) const noexcept = 0;
 
-  /// True when filter inner loops should take their explicitly
-  /// vectorized (SoA, branch-free) variants.
-  bool vectorized() const noexcept {
-    return kind() == BackendKind::Vectorized;
-  }
-
   const char* token() const noexcept { return backendToken(kind()); }
 };
 
 /// The shared singleton for each kind.
 const Backend& serialBackend() noexcept;
 const Backend& threadedBackend() noexcept;
-const Backend& vectorizedBackend() noexcept;
 const Backend& backendFor(BackendKind kind) noexcept;
 
 /// The process default: POWERVIZ_BACKEND when set (a bad value falls

@@ -302,10 +302,10 @@ class PhaseTracer {
 /// The execution environment handed down the stack.  See file comment.
 class ExecutionContext {
  public:
-  /// Compatibility shim: a context over the process-global pool.  This
-  /// constructor is the ONE sanctioned production use of
-  /// ThreadPool::global() outside thread_pool.cpp — the legacy
-  /// context-free kernel entry points forward through it.
+  /// A context over the process-global pool.  This constructor is the
+  /// ONE sanctioned production use of ThreadPool::global() outside
+  /// thread_pool.cpp — callers at the edge (tools, the Study, tests)
+  /// build one and hand it down; kernels never build their own.
   ExecutionContext() : pool_(&ThreadPool::global()) {}
 
   /// A context over an explicitly owned pool (tests, service workers).

@@ -5,8 +5,8 @@
 // offsets, allocate once and fill in parallel at those offsets.
 //
 // Every primitive has two forms.  The ExecutionContext form is the real
-// one: it dispatches chunks through the context's exec::Backend (serial /
-// threaded / vectorized — see util/backend.h) onto the context's pool and
+// one: it dispatches chunks through the context's exec::Backend (serial
+// or threaded — see util/backend.h) onto the context's pool and
 // polls the context's CancelToken at chunk boundaries, so a cancelled run
 // unwinds at the next chunk edge (the pool captures the CancelledError,
 // drains the remaining chunks, and rethrows in the caller).  The

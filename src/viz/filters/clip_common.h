@@ -19,8 +19,6 @@
 // Convention: points with clip scalar >= 0 are KEPT.
 #pragma once
 
-#include "util/compat.h"
-
 #include <span>
 #include <vector>
 
@@ -49,12 +47,6 @@ ClipResult clipUniformGrid(util::ExecutionContext& ctx,
                            const UniformGrid& grid,
                            std::span<const double> clipScalar,
                            std::span<const double> carried);
-
-/// Compatibility shim: run on a fresh context over the global pool.
-PVIZ_CONTEXT_SHIM
-ClipResult clipUniformGrid(const UniformGrid& grid,
-                           const std::vector<double>& clipScalar,
-                           const std::vector<double>& carried);
 
 /// Most tets one hex cell can emit: six decomposition tets, each kept
 /// as at most a prism of three tets.

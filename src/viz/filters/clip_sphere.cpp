@@ -9,12 +9,6 @@
 namespace pviz::vis {
 
 ClipSphereFilter::Result ClipSphereFilter::run(
-    const UniformGrid& grid, const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
-ClipSphereFilter::Result ClipSphereFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = grid.field(fieldName);

@@ -5,8 +5,6 @@
 // are subdivided and only the outside part is kept.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 
 #include "viz/filters/clip_common.h"
@@ -32,10 +30,6 @@ class ClipSphereFilter {
   /// Clip `grid`, carrying point scalar `fieldName` onto the output.
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   Vec3 center_{0.5, 0.5, 0.5};

@@ -47,10 +47,10 @@ EdgeVertex interpolateEdge(const Vec3 cornerPos[8], int edge,
   return {lerp(cornerPos[a], cornerPos[b], t), isovalue};
 }
 
-// Vectorized classify of kLanes consecutive cells of one row: each
-// corner is one unit-stride byte stream at a fixed offset into the
-// staged above[] bytes, and the case index is eight ORed corner bits of
-// those streams — branch-free, gather-free, one SIMD OR tree per lane.
+// Classify kLanes consecutive cells of one row: each corner is one
+// unit-stride byte stream at a fixed offset into the staged above[]
+// bytes, and the case index is eight ORed corner bits of those streams —
+// branch-free, gather-free, one SIMD OR tree per lane.
 // Three details keep the loop inside -O2's very-cheap vectorizer cost
 // model at the baseline ISA:
 //   * __restrict parameters, so the case stores need no runtime alias
@@ -81,13 +81,9 @@ void caseLanes(const std::uint8_t* __restrict above,
   }
 }
 
-}  // namespace
+constexpr Id kCaseLanes = 64;
 
-ContourFilter::Result ContourFilter::run(const UniformGrid& grid,
-                                         const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
+}  // namespace
 
 ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
                                          const UniformGrid& grid,
@@ -146,20 +142,10 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
     }
     // --- Pass 1: classify — compare each point once, then assemble the
     // MC case per cell from the cached above/below bytes.  Cells are
-    // swept as i-rows with incremental index stepping (no per-cell ijk
-    // decode).
-    //
-    // Scalar variant: within a row the case is stepped from its
-    // predecessor — the shared face's four corners (bits 1,2,5,6)
-    // become bits 0,3,4,7, so only four corners are loaded per cell.
-    //
-    // Vectorized variant (caseLanes): the recycling trick carries a
-    // loop-to-loop dependency the compiler cannot vectorize, so instead
-    // all eight corners are loaded per cell from unit-stride streams —
-    // branch-free and auto-vectorizable.  Both variants compute the same
-    // case bytes, so the active list, the offsets, and the mesh stay
-    // bit-identical.
-    const bool vectorize = ctx.backend().vectorized();
+    // swept as i-rows in caseLanes blocks: all eight corners are loaded
+    // per cell from unit-stride streams, branch-free.  (Stepping a cell's
+    // case from its predecessor's shared face would load only four
+    // corners, but the loop-carried dependency keeps the sweep scalar.)
     util::parallelFor(ctx, 0, numPoints, [&](Id p) {
       above[static_cast<std::size_t>(p)] =
           values[static_cast<std::size_t>(p)] >= isovalue ? 1 : 0;
@@ -168,43 +154,17 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
         ctx, 0, rows,
         [&](Id rowBegin, Id rowEnd) {
           for (Id row = rowBegin; row < rowEnd; ++row) {
-            Id cell = row * rowLen;
-            Id base = grid.cellRowFirstPointId(row);
-            if (vectorize) {
-              constexpr Id kBlock = 64;
-              const std::uint8_t* abv =
-                  above.data() + static_cast<std::size_t>(base);
-              std::uint8_t* caseRow =
-                  caseOf.data() + static_cast<std::size_t>(cell);
-              Id i = 0;
-              for (; i + kBlock <= rowLen; i += kBlock) {
-                caseLanes<kBlock>(abv + i, corner, caseRow + i);
-              }
-              for (; i < rowLen; ++i) {
-                caseLanes<1>(abv + i, corner, caseRow + i);
-              }
-              continue;
+            const std::uint8_t* abv =
+                above.data() +
+                static_cast<std::size_t>(grid.cellRowFirstPointId(row));
+            std::uint8_t* caseRow =
+                caseOf.data() + static_cast<std::size_t>(row * rowLen);
+            Id i = 0;
+            for (; i + kCaseLanes <= rowLen; i += kCaseLanes) {
+              caseLanes<kCaseLanes>(abv + i, corner, caseRow + i);
             }
-            int caseIndex = 0;
-            for (Id i = 0; i < rowLen; ++i, ++cell, ++base) {
-              if (i == 0) {
-                caseIndex = 0;
-                for (int c = 0; c < 8; ++c) {
-                  caseIndex |=
-                      above[static_cast<std::size_t>(base + corner[c])] << c;
-                }
-              } else {
-                caseIndex =
-                    ((caseIndex >> 1) & 1) | (((caseIndex >> 2) & 1) << 3) |
-                    (((caseIndex >> 5) & 1) << 4) |
-                    (((caseIndex >> 6) & 1) << 7) |
-                    (above[static_cast<std::size_t>(base + corner[1])] << 1) |
-                    (above[static_cast<std::size_t>(base + corner[2])] << 2) |
-                    (above[static_cast<std::size_t>(base + corner[5])] << 5) |
-                    (above[static_cast<std::size_t>(base + corner[6])] << 6);
-              }
-              caseOf[static_cast<std::size_t>(cell)] =
-                  static_cast<std::uint8_t>(caseIndex);
+            for (; i < rowLen; ++i) {
+              caseLanes<1>(abv + i, corner, caseRow + i);
             }
           }
         },

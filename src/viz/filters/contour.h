@@ -10,8 +10,6 @@
 // writes triangles with no synchronization.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 #include <vector>
 
@@ -53,10 +51,6 @@ class ContourFilter {
   /// chunk boundaries.
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   std::vector<double> isovalues_;

@@ -6,12 +6,6 @@
 namespace pviz::vis {
 
 GradientFilter::Result GradientFilter::run(
-    const UniformGrid& grid, const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
-GradientFilter::Result GradientFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = grid.field(fieldName);

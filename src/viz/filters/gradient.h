@@ -7,8 +7,6 @@
 // the power advisor classifies as a power opportunity.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 
 #include "viz/dataset/uniform_grid.h"
@@ -31,9 +29,6 @@ class GradientFilter {
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
 
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 };
 
 /// Per-point magnitude of a 3-component point field.

@@ -28,11 +28,6 @@ double Histogram::quantile(double q) const {
   return hi;
 }
 
-HistogramFilter::Result HistogramFilter::run(const Field& field) const {
-  util::ExecutionContext ctx;
-  return run(ctx, field);
-}
-
 HistogramFilter::Result HistogramFilter::run(util::ExecutionContext& ctx,
                                              const Field& field) const {
   Result result;

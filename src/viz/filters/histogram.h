@@ -2,8 +2,6 @@
 // quantile-based isovalue selection visualization tools build on it.
 #pragma once
 
-#include "util/compat.h"
-
 #include <vector>
 
 #include "viz/dataset/field.h"
@@ -51,10 +49,6 @@ class HistogramFilter {
 
   /// Histogram of the field's first component over its full range.
   Result run(util::ExecutionContext& ctx, const Field& field) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const Field& field) const;
 
  private:
   int bins_ = 64;

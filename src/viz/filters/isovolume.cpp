@@ -44,12 +44,6 @@ int clipBandCell(const Vec3 pos[8], const double f[8], double lo, double hi,
 }  // namespace
 
 IsovolumeFilter::Result IsovolumeFilter::run(
-    const UniformGrid& grid, const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
-IsovolumeFilter::Result IsovolumeFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = grid.field(fieldName);

@@ -8,8 +8,6 @@
 // hi is clipped at f <= hi alone.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 
 #include "viz/filters/clip_common.h"
@@ -47,10 +45,6 @@ class IsovolumeFilter {
 
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   double lo_ = 0.0;

@@ -421,12 +421,6 @@ const char* ParticleAdvectionFilter::scheduleToken(Schedule schedule) {
 }
 
 ParticleAdvectionFilter::Result ParticleAdvectionFilter::run(
-    const UniformGrid& grid, const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
-ParticleAdvectionFilter::Result ParticleAdvectionFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = requirePointVectorField(grid, fieldName);

@@ -35,8 +35,6 @@
 // million-seed setup parallelizes instead of walking one RNG serially.
 #pragma once
 
-#include "util/compat.h"
-
 #include <cstdint>
 #include <string>
 
@@ -109,10 +107,6 @@ class ParticleAdvectionFilter {
   /// `grid`); stage velocities blend linearly in integration time.
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& beginField, const std::string& endField) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
   /// Counter-based seed placement: seed `index`'s position depends only
   /// on (box, rngSeed, index), never on other seeds.  Exposed so tests

@@ -6,12 +6,6 @@
 
 namespace pviz::vis {
 
-SliceFilter::Result SliceFilter::run(const UniformGrid& grid,
-                                     const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
 SliceFilter::Result SliceFilter::run(util::ExecutionContext& ctx,
                                      const UniformGrid& grid,
                                      const std::string& fieldName) const {

@@ -7,8 +7,6 @@
 // center; the three resulting surfaces are combined.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 #include <vector>
 
@@ -42,10 +40,6 @@ class SliceFilter {
   /// Slice `grid`, coloring the output by point scalar `fieldName`.
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   std::vector<Plane> planes_;

@@ -5,8 +5,6 @@
 // range, and copy qualifying cells to the output.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 
 #include "viz/dataset/explicit_mesh.h"
@@ -38,10 +36,6 @@ class ThresholdFilter {
   /// Point fields are averaged over the cell's eight corners first.
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   double lo_ = 0.0;

@@ -43,12 +43,6 @@ struct Bvh::BuildData {
   int maxLeafSize = 4;
 };
 
-Bvh::Bvh(const TriangleMesh& mesh, int maxLeafSize, bool parallelBuild)
-    : mesh_(mesh) {
-  util::ExecutionContext ctx;
-  build(ctx, maxLeafSize, parallelBuild);
-}
-
 Bvh::Bvh(util::ExecutionContext& ctx, const TriangleMesh& mesh,
          int maxLeafSize, bool parallelBuild)
     : mesh_(mesh) {

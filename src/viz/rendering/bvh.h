@@ -8,8 +8,6 @@
 // the trace phase with real counts.
 #pragma once
 
-#include "util/compat.h"
-
 #include <cstdint>
 #include <vector>
 
@@ -52,11 +50,6 @@ class Bvh {
   /// checks this).
   Bvh(util::ExecutionContext& ctx, const TriangleMesh& mesh,
       int maxLeafSize = 4, bool parallelBuild = true);
-
-  /// Compatibility shim: build on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  explicit Bvh(const TriangleMesh& mesh, int maxLeafSize = 4,
-               bool parallelBuild = true);
 
   /// Nearest intersection along `ray`, or a miss.
   TriangleHit intersect(const Ray& ray, TraversalStats* stats = nullptr) const;

@@ -21,13 +21,22 @@ constexpr int kFaceCorners[6][4] = {
     {4, 5, 6, 7},  // +k
 };
 
-}  // namespace
-
-ExternalFacesResult extractExternalFaces(const UniformGrid& grid,
-                                         const std::string& fieldName) {
-  util::ExecutionContext ctx;
-  return extractExternalFaces(ctx, grid, fieldName);
+// Constant fill of kLanes cells' masks and face counts, in the
+// kernel-loop shape of DESIGN §11: __restrict rows and a compile-time
+// lane count, so -O2's very-cheap vectorizer cost model takes the int64
+// count fill (no runtime alias check, no peeled epilogue).  The byte
+// fill becomes a memset.
+template <Id kLanes>
+void fillLanes(std::uint8_t mask, std::int64_t count,
+               std::uint8_t* __restrict maskRow,
+               std::int64_t* __restrict countRow) {
+  for (Id i = 0; i < kLanes; ++i) maskRow[i] = mask;
+  for (Id i = 0; i < kLanes; ++i) countRow[i] = count;
 }
+
+constexpr Id kFillLanes = 64;
+
+}  // namespace
 
 ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
                                          const UniformGrid& grid,
@@ -44,10 +53,11 @@ ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
       std::max<Id>(1, util::kDefaultGrain / std::max<Id>(Id{1}, rowLen));
 
   // Pass 1: classify — a 6-bit external-face mask per cell.  The j/k
-  // face bits are constant along a row, so the sweep computes them once
-  // per row and only the ±i bits vary with the cell.  Arena memory is
-  // uninitialized, so the sentinel slot the scan needs must be zeroed
-  // explicitly (every other slot is written by the sweep).
+  // face bits are constant along a row, so the sweep fills each row with
+  // that constant mask and its popcount, then patches the two ±i end
+  // cells.  Arena memory is uninitialized, so the sentinel slot the scan
+  // needs must be zeroed explicitly (every other slot is written by the
+  // sweep).
   util::ScratchVector<std::uint8_t> faceMask(
       ctx.arena(), static_cast<std::size_t>(numCells));
   util::ScratchVector<std::int64_t> offsets(
@@ -55,13 +65,6 @@ ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
   offsets[static_cast<std::size_t>(numCells)] = 0;
   std::optional<util::ExecutionContext::PhaseScope> phase;
   phase.emplace(ctx, "face-classify");
-  // Vectorized variant: along a row only the two end cells differ from
-  // the row constant, so instead of per-cell `i == 0` / `i == rowLen-1`
-  // branches the whole row is filled with the constant mask/popcount
-  // (two branch-free constant-fill loops the compiler turns into SIMD
-  // stores) and the two ±i end cells are patched afterwards.  Same
-  // masks, same counts — bit-identical to the scalar sweep.
-  const bool vectorize = ctx.backend().vectorized();
   util::parallelForChunks(
       ctx, 0, rows,
       [&](Id rowBegin, Id rowEnd) {
@@ -72,36 +75,26 @@ ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
           if (r.j == cd.j - 1) rowBits |= 1u << 3;   // +j
           if (r.k == 0) rowBits |= 1u << 4;          // -k
           if (r.k == cd.k - 1) rowBits |= 1u << 5;   // +k
-          Id cell = row * rowLen;
-          if (vectorize) {
-            std::uint8_t* maskRow =
-                faceMask.data() + static_cast<std::size_t>(cell);
-            std::int64_t* countRow =
-                offsets.data() + static_cast<std::size_t>(cell);
-            const std::int64_t rowCount =
-                std::popcount(static_cast<unsigned>(rowBits));
-            // Local trip count: the byte stores through maskRow may
-            // alias the by-reference capture of rowLen as far as the
-            // vectorizer can prove, which blocks both fills.
-            const Id n = rowLen;
-            for (Id i = 0; i < n; ++i) maskRow[i] = rowBits;
-            for (Id i = 0; i < n; ++i) countRow[i] = rowCount;
-            maskRow[0] |= 1u << 0;                    // -i
-            maskRow[rowLen - 1] |= 1u << 1;           // +i
-            countRow[0] =
-                std::popcount(static_cast<unsigned>(maskRow[0]));
-            countRow[rowLen - 1] =
-                std::popcount(static_cast<unsigned>(maskRow[rowLen - 1]));
-            continue;
+          const Id cell = row * rowLen;
+          std::uint8_t* maskRow =
+              faceMask.data() + static_cast<std::size_t>(cell);
+          std::int64_t* countRow =
+              offsets.data() + static_cast<std::size_t>(cell);
+          const std::int64_t rowCount =
+              std::popcount(static_cast<unsigned>(rowBits));
+          Id i = 0;
+          for (; i + kFillLanes <= rowLen; i += kFillLanes) {
+            fillLanes<kFillLanes>(rowBits, rowCount, maskRow + i,
+                                  countRow + i);
           }
-          for (Id i = 0; i < rowLen; ++i, ++cell) {
-            std::uint8_t mask = rowBits;
-            if (i == 0) mask |= 1u << 0;             // -i
-            if (i == rowLen - 1) mask |= 1u << 1;    // +i
-            faceMask[static_cast<std::size_t>(cell)] = mask;
-            offsets[static_cast<std::size_t>(cell)] =
-                std::popcount(static_cast<unsigned>(mask));
+          for (; i < rowLen; ++i) {
+            fillLanes<1>(rowBits, rowCount, maskRow + i, countRow + i);
           }
+          maskRow[0] |= 1u << 0;                    // -i
+          maskRow[rowLen - 1] |= 1u << 1;           // +i
+          countRow[0] = std::popcount(static_cast<unsigned>(maskRow[0]));
+          countRow[rowLen - 1] =
+              std::popcount(static_cast<unsigned>(maskRow[rowLen - 1]));
         }
       },
       rowGrain);

@@ -9,8 +9,6 @@
 // counts grow 4X when cells grow 8X.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 
 #include "viz/dataset/explicit_mesh.h"
@@ -32,11 +30,6 @@ struct ExternalFacesResult {
 /// scalar `fieldName` onto the output vertices.
 ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
                                          const UniformGrid& grid,
-                                         const std::string& fieldName);
-
-/// Compatibility shim: run on a fresh context over the global pool.
-PVIZ_CONTEXT_SHIM
-ExternalFacesResult extractExternalFaces(const UniformGrid& grid,
                                          const std::string& fieldName);
 
 }  // namespace pviz::vis

@@ -10,12 +10,6 @@
 
 namespace pviz::vis {
 
-RayTracer::Result RayTracer::run(const UniformGrid& grid,
-                                 const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
 RayTracer::Result RayTracer::run(util::ExecutionContext& ctx,
                                  const UniformGrid& grid,
                                  const std::string& fieldName) const {

@@ -11,8 +11,6 @@
 // is why ray tracing lands in the power-opportunity class.
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 #include <vector>
 
@@ -57,10 +55,6 @@ class RayTracer {
 
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   int width_ = 512;

@@ -9,12 +9,6 @@
 
 namespace pviz::vis {
 
-VolumeRenderer::Result VolumeRenderer::run(const UniformGrid& grid,
-                                           const std::string& fieldName) const {
-  util::ExecutionContext ctx;
-  return run(ctx, grid, fieldName);
-}
-
 VolumeRenderer::Result VolumeRenderer::run(util::ExecutionContext& ctx,
                                            const UniformGrid& grid,
                                            const std::string& fieldName) const {

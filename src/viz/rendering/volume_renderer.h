@@ -13,8 +13,6 @@
 // measured IPC *falls* as the dataset grows (paper Fig. 5).
 #pragma once
 
-#include "util/compat.h"
-
 #include <string>
 #include <vector>
 
@@ -61,10 +59,6 @@ class VolumeRenderer {
 
   Result run(util::ExecutionContext& ctx, const UniformGrid& grid,
              const std::string& fieldName) const;
-
-  /// Compatibility shim: run on a fresh context over the global pool.
-  PVIZ_CONTEXT_SHIM
-  Result run(const UniformGrid& grid, const std::string& fieldName) const;
 
  private:
   int width_ = 512;

@@ -6,6 +6,7 @@
 
 #include "core/algorithms.h"
 #include "sim/cloverleaf.h"
+#include "util/exec_context.h"
 
 namespace pviz::core {
 namespace {
@@ -45,14 +46,17 @@ TEST(Algorithms, FrameworkOverheadScalesWithLaunches) {
 }
 
 TEST(Algorithms, CameraSamplingExtrapolatesRenderWork) {
+  util::ExecutionContext ctx;
   AlgorithmParams sampled = lightParams();
   sampled.cameraCount = 16;
   sampled.sampledCameraCount = 4;
   AlgorithmParams full = lightParams();
   full.cameraCount = 16;
   full.sampledCameraCount = 0;  // trace all 16
-  const auto a = runAlgorithm(Algorithm::VolumeRendering, dataset(), sampled);
-  const auto b = runAlgorithm(Algorithm::VolumeRendering, dataset(), full);
+  const auto a =
+      runAlgorithm(ctx, Algorithm::VolumeRendering, dataset(), sampled);
+  const auto b =
+      runAlgorithm(ctx, Algorithm::VolumeRendering, dataset(), full);
   double ia = 0.0, ib = 0.0;
   for (const auto& ph : a.phases) {
     if (ph.name == "ray-march") ia = ph.instructions();
@@ -80,8 +84,9 @@ TEST(Algorithms, EffectiveSampledCamerasClamps) {
 class AllAlgorithmsRun : public ::testing::TestWithParam<Algorithm> {};
 
 TEST_P(AllAlgorithmsRun, ProducesAWellFormedProfile) {
+  util::ExecutionContext ctx;
   const vis::KernelProfile profile =
-      runAlgorithm(GetParam(), dataset(), lightParams());
+      runAlgorithm(ctx, GetParam(), dataset(), lightParams());
   EXPECT_FALSE(profile.kernel.empty());
   EXPECT_EQ(profile.elements, dataset().numCells());
   ASSERT_GE(profile.phases.size(), 2u);  // work + framework overhead

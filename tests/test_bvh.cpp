@@ -1,6 +1,7 @@
 // BVH correctness against brute force.
 #include <gtest/gtest.h>
 
+#include "util/exec_context.h"
 #include "util/rng.h"
 #include "viz/rendering/bvh.h"
 
@@ -23,18 +24,20 @@ TriangleMesh randomSoup(int triangles, std::uint64_t seed) {
 }
 
 TEST(Bvh, EmptyMeshAlwaysMisses) {
+  util::ExecutionContext ctx;
   TriangleMesh mesh;
-  const Bvh bvh(mesh);
+  const Bvh bvh(ctx, mesh);
   const TriangleHit hit = bvh.intersect({{0, 0, 0}, {0, 0, 1}});
   EXPECT_FALSE(hit.hit());
   EXPECT_EQ(bvh.nodeCount(), 0);
 }
 
 TEST(Bvh, SingleTriangleHitAndMiss) {
+  util::ExecutionContext ctx;
   TriangleMesh mesh;
   mesh.points = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
   mesh.connectivity = {0, 1, 2};
-  const Bvh bvh(mesh);
+  const Bvh bvh(ctx, mesh);
   const TriangleHit hit = bvh.intersect({{0.2, 0.2, 1.0}, {0, 0, -1}});
   ASSERT_TRUE(hit.hit());
   EXPECT_EQ(hit.triangle, 0);
@@ -47,17 +50,19 @@ TEST(Bvh, SingleTriangleHitAndMiss) {
 }
 
 TEST(Bvh, ParallelRayMissesDegenerateDeterminant) {
+  util::ExecutionContext ctx;
   TriangleMesh mesh;
   mesh.points = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}};
   mesh.connectivity = {0, 1, 2};
-  const Bvh bvh(mesh);
+  const Bvh bvh(ctx, mesh);
   // Ray in the triangle's plane.
   EXPECT_FALSE(bvh.intersect({{-1, 0.25, 0.0}, {1, 0, 0}}).hit());
 }
 
 TEST(Bvh, StatsAccumulate) {
+  util::ExecutionContext ctx;
   const TriangleMesh mesh = randomSoup(500, 3);
-  const Bvh bvh(mesh);
+  const Bvh bvh(ctx, mesh);
   TraversalStats stats;
   bvh.intersect({{0.5, 0.5, -2.0}, {0, 0, 1}}, &stats);
   EXPECT_GT(stats.nodesVisited, 0);
@@ -65,8 +70,9 @@ TEST(Bvh, StatsAccumulate) {
 }
 
 TEST(Bvh, RootBoundsCoverAllTriangles) {
+  util::ExecutionContext ctx;
   const TriangleMesh mesh = randomSoup(300, 5);
-  const Bvh bvh(mesh);
+  const Bvh bvh(ctx, mesh);
   const Bounds root = bvh.rootBounds();
   for (const auto& p : mesh.points) {
     ASSERT_TRUE(root.contains(p));
@@ -78,8 +84,9 @@ TEST(Bvh, RootBoundsCoverAllTriangles) {
 class BvhVsBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BvhVsBruteForce, SameNearestHit) {
+  util::ExecutionContext ctx;
   const TriangleMesh mesh = randomSoup(400, GetParam());
-  const Bvh bvh(mesh);
+  const Bvh bvh(ctx, mesh);
   util::Rng rng(GetParam() * 7919 + 1);
   int hits = 0;
   for (int trial = 0; trial < 300; ++trial) {
@@ -106,9 +113,10 @@ INSTANTIATE_TEST_SUITE_P(Scenes, BvhVsBruteForce,
 class BvhLeafSize : public ::testing::TestWithParam<int> {};
 
 TEST_P(BvhLeafSize, LeafSizeDoesNotChangeResults) {
+  util::ExecutionContext ctx;
   const TriangleMesh mesh = randomSoup(200, 42);
-  const Bvh reference(mesh, 1);
-  const Bvh variant(mesh, GetParam());
+  const Bvh reference(ctx, mesh, 1);
+  const Bvh variant(ctx, mesh, GetParam());
   util::Rng rng(99);
   for (int trial = 0; trial < 100; ++trial) {
     const Ray ray{{rng.uniform(), rng.uniform(), -1.0},
@@ -125,11 +133,13 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BvhLeafSize,
                          ::testing::Values(2, 4, 8, 16, 64));
 
 TEST(Bvh, RejectsBadLeafSize) {
+  util::ExecutionContext ctx;
   TriangleMesh mesh;
-  EXPECT_THROW(Bvh(mesh, 0), Error);
+  EXPECT_THROW(Bvh(ctx, mesh, 0), Error);
 }
 
 TEST(Bvh, HandlesCoincidentCentroids) {
+  util::ExecutionContext ctx;
   // Many triangles with identical centroids must terminate (degenerate
   // split guard) and still intersect correctly.
   TriangleMesh mesh;
@@ -141,7 +151,7 @@ TEST(Bvh, HandlesCoincidentCentroids) {
     mesh.connectivity.push_back(3 * t + 1);
     mesh.connectivity.push_back(3 * t + 2);
   }
-  const Bvh bvh(mesh, 4);
+  const Bvh bvh(ctx, mesh, 4);
   EXPECT_TRUE(bvh.intersect({{0.2, 0.2, 1.0}, {0, 0, -1}}).hit());
 }
 

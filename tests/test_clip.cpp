@@ -133,6 +133,7 @@ UniformGrid gridWithField(Id cells) {
 }
 
 TEST(ClipUniformGrid, PlaneClipVolumeIsExact) {
+  util::ExecutionContext ctx;
   const Id n = 8;
   const UniformGrid g = gridWithField(n);
   // Keep x >= 0.4 (a plane between cell boundaries).
@@ -141,7 +142,7 @@ TEST(ClipUniformGrid, PlaneClipVolumeIsExact) {
     clip[static_cast<std::size_t>(p)] = g.pointPosition(p).x - 0.4;
   }
   const ClipResult result =
-      clipUniformGrid(g, clip, g.field("x").data());
+      clipUniformGrid(ctx, g, clip, g.field("x").data());
   const double cellVol = 1.0 / (n * n * n);
   const double total =
       static_cast<double>(result.wholeCells.numCells()) * cellVol +
@@ -152,24 +153,26 @@ TEST(ClipUniformGrid, PlaneClipVolumeIsExact) {
 }
 
 TEST(ClipUniformGrid, ClassifiesCountsConsistently) {
+  util::ExecutionContext ctx;
   const UniformGrid g = gridWithField(6);
   std::vector<double> clip(static_cast<std::size_t>(g.numPoints()), 1.0);
-  const ClipResult all = clipUniformGrid(g, clip, g.field("x").data());
+  const ClipResult all = clipUniformGrid(ctx, g, clip, g.field("x").data());
   EXPECT_EQ(all.cellsIn, g.numCells());
   EXPECT_EQ(all.cutPieces.numTets(), 0);
   std::fill(clip.begin(), clip.end(), -1.0);
-  const ClipResult none = clipUniformGrid(g, clip, g.field("x").data());
+  const ClipResult none = clipUniformGrid(ctx, g, clip, g.field("x").data());
   EXPECT_EQ(none.cellsOut, g.numCells());
   EXPECT_EQ(none.wholeCells.numCells(), 0);
 }
 
 TEST(ClipSphere, CulledVolumeMatchesSphereVolume) {
+  util::ExecutionContext ctx;
   const Id n = 24;
   UniformGrid g = gridWithField(n);
   ClipSphereFilter filter;
   const double r = 0.3;
   filter.setSphere({0.5, 0.5, 0.5}, r);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   const double cellVol = 1.0 / (static_cast<double>(n) * n * n);
   const double kept =
       static_cast<double>(result.clipped.wholeCells.numCells()) * cellVol +
@@ -179,20 +182,22 @@ TEST(ClipSphere, CulledVolumeMatchesSphereVolume) {
 }
 
 TEST(ClipSphere, SphereOutsideDomainKeepsEverything) {
+  util::ExecutionContext ctx;
   UniformGrid g = gridWithField(5);
   ClipSphereFilter filter;
   filter.setSphere({10, 10, 10}, 0.5);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_EQ(result.clipped.cellsIn, g.numCells());
   EXPECT_EQ(result.clipped.cellsCut, 0);
 }
 
 TEST(ClipSphere, ProfileAndParamValidation) {
+  util::ExecutionContext ctx;
   UniformGrid g = gridWithField(5);
   ClipSphereFilter filter;
   EXPECT_THROW(filter.setSphere({0, 0, 0}, -1.0), Error);
   filter.setSphere({0.5, 0.5, 0.5}, 0.25);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_EQ(result.profile.kernel, "spherical-clip");
   EXPECT_EQ(result.profile.phases.size(), 4u);
   EXPECT_EQ(result.profile.elements, g.numCells());

@@ -55,10 +55,11 @@ std::map<std::pair<std::array<long, 3>, std::array<long, 3>>, int> edgeCounts(
 }
 
 TEST(Contour, SphereSurfaceAreaMatchesAnalytic) {
+  util::ExecutionContext ctx;
   const UniformGrid g = sphereGrid(40);
   ContourFilter filter;
   filter.setIsovalues({0.3});
-  const auto result = filter.run(g, "dist");
+  const auto result = filter.run(ctx, g, "dist");
   EXPECT_GT(result.surface.numTriangles(), 1000);
   const double area = result.surface.totalArea();
   const double expected = 4.0 * kPi * 0.3 * 0.3;
@@ -66,10 +67,11 @@ TEST(Contour, SphereSurfaceAreaMatchesAnalytic) {
 }
 
 TEST(Contour, SphereIsWatertight) {
+  util::ExecutionContext ctx;
   const UniformGrid g = sphereGrid(24);
   ContourFilter filter;
   filter.setIsovalues({0.31});
-  const auto result = filter.run(g, "dist");
+  const auto result = filter.run(ctx, g, "dist");
   int odd = 0;
   for (const auto& [edge, count] : edgeCounts(result.surface)) {
     if (count % 2 != 0) ++odd;
@@ -78,6 +80,7 @@ TEST(Contour, SphereIsWatertight) {
 }
 
 TEST(Contour, PlanarFieldGivesFlatSurfaceOfKnownArea) {
+  util::ExecutionContext ctx;
   UniformGrid g = UniformGrid::cube(16);
   Field f = Field::zeros("z", Association::Points, 1, g.numPoints());
   for (Id p = 0; p < g.numPoints(); ++p) {
@@ -86,7 +89,7 @@ TEST(Contour, PlanarFieldGivesFlatSurfaceOfKnownArea) {
   g.addField(std::move(f));
   ContourFilter filter;
   filter.setIsovalues({0.53});
-  const auto result = filter.run(g, "z");
+  const auto result = filter.run(ctx, g, "z");
   EXPECT_NEAR(result.surface.totalArea(), 1.0, 1e-9);
   for (const auto& p : result.surface.points) {
     ASSERT_NEAR(p.z, 0.53, 1e-12);
@@ -94,25 +97,28 @@ TEST(Contour, PlanarFieldGivesFlatSurfaceOfKnownArea) {
 }
 
 TEST(Contour, OutOfRangeIsovalueGivesNothing) {
+  util::ExecutionContext ctx;
   const UniformGrid g = sphereGrid(8);
   ContourFilter filter;
   filter.setIsovalues({99.0});
-  const auto result = filter.run(g, "dist");
+  const auto result = filter.run(ctx, g, "dist");
   EXPECT_EQ(result.surface.numTriangles(), 0);
   EXPECT_EQ(result.surface.numPoints(), 0);
 }
 
 TEST(Contour, VertexScalarsEqualIsovalue) {
+  util::ExecutionContext ctx;
   const UniformGrid g = sphereGrid(12);
   ContourFilter filter;
   filter.setIsovalues({0.25});
-  const auto result = filter.run(g, "dist");
+  const auto result = filter.run(ctx, g, "dist");
   for (double s : result.surface.pointScalars) {
     ASSERT_DOUBLE_EQ(s, 0.25);
   }
 }
 
 TEST(Contour, MultipleIsovaluesConcatenate) {
+  util::ExecutionContext ctx;
   const UniformGrid g = sphereGrid(16);
   ContourFilter a;
   a.setIsovalues({0.2});
@@ -120,19 +126,20 @@ TEST(Contour, MultipleIsovaluesConcatenate) {
   b.setIsovalues({0.35});
   ContourFilter both;
   both.setIsovalues({0.2, 0.35});
-  const Id na = a.run(g, "dist").surface.numTriangles();
-  const Id nb = b.run(g, "dist").surface.numTriangles();
-  const Id nBoth = both.run(g, "dist").surface.numTriangles();
+  const Id na = a.run(ctx, g, "dist").surface.numTriangles();
+  const Id nb = b.run(ctx, g, "dist").surface.numTriangles();
+  const Id nBoth = both.run(ctx, g, "dist").surface.numTriangles();
   EXPECT_EQ(nBoth, na + nb);
 }
 
 TEST(Contour, NormalsPointDownGradient) {
+  util::ExecutionContext ctx;
   // For a sphere distance field the gradient points outward; oriented
   // triangles must have normals opposing it (toward the low-value side).
   const UniformGrid g = sphereGrid(16);
   ContourFilter filter;
   filter.setIsovalues({0.3});
-  const auto result = filter.run(g, "dist");
+  const auto result = filter.run(ctx, g, "dist");
   Id misoriented = 0;
   for (Id t = 0; t < result.surface.numTriangles(); ++t) {
     const Vec3& a = result.surface.points[static_cast<std::size_t>(
@@ -158,22 +165,24 @@ TEST(Contour, UniformIsovaluesExcludeExtremes) {
 }
 
 TEST(Contour, RequiresSetupAndScalarPointField) {
+  util::ExecutionContext ctx;
   UniformGrid g = UniformGrid::cube(2);
   g.addField(Field::zeros("v", Association::Points, 3, g.numPoints()));
   g.addField(Field::zeros("c", Association::Cells, 1, g.numCells()));
   g.addField(Field::zeros("s", Association::Points, 1, g.numPoints()));
   ContourFilter filter;
-  EXPECT_THROW(filter.run(g, "s"), Error);  // no isovalues set
+  EXPECT_THROW(filter.run(ctx, g, "s"), Error);  // no isovalues set
   filter.setIsovalues({0.5});
-  EXPECT_THROW(filter.run(g, "v"), Error);  // vector field
-  EXPECT_THROW(filter.run(g, "c"), Error);  // cell field
+  EXPECT_THROW(filter.run(ctx, g, "v"), Error);  // vector field
+  EXPECT_THROW(filter.run(ctx, g, "c"), Error);  // cell field
 }
 
 TEST(Contour, ProfileReflectsWork) {
+  util::ExecutionContext ctx;
   const UniformGrid g = sphereGrid(12);
   ContourFilter filter;
   filter.setIsovalues({0.3, 0.4});
-  const auto result = filter.run(g, "dist");
+  const auto result = filter.run(ctx, g, "dist");
   EXPECT_EQ(result.profile.kernel, "contour");
   EXPECT_EQ(result.profile.elements, g.numCells());
   ASSERT_EQ(result.profile.phases.size(), 3u);
@@ -242,10 +251,9 @@ TEST(ContourCell, EveryCornerSignPatternCutsItsOwnEdges) {
     reference.push_back(mesh);
   }
 
-  // Every backend x pool size reproduces the serial meshes bit for bit.
+  // Both backends x pool sizes reproduce the serial meshes bit for bit.
   for (const exec::Backend* backend :
-       {&exec::serialBackend(), &exec::threadedBackend(),
-        &exec::vectorizedBackend()}) {
+       {&exec::serialBackend(), &exec::threadedBackend()}) {
     for (const unsigned workers : {1u, 2u, 4u}) {
       SCOPED_TRACE(std::string(backend->token()) + " backend, pool " +
                    std::to_string(workers));
@@ -278,11 +286,12 @@ TEST(ContourCell, EveryCornerSignPatternCutsItsOwnEdges) {
 class ContourIsovalueSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(ContourIsovalueSweep, AreaTracksRadiusAndSurfaceCloses) {
+  util::ExecutionContext ctx;
   const double r = GetParam();
   const UniformGrid g = sphereGrid(32);
   ContourFilter filter;
   filter.setIsovalues({r});
-  const auto result = filter.run(g, "dist");
+  const auto result = filter.run(ctx, g, "dist");
   const double expected = 4.0 * kPi * r * r;
   EXPECT_NEAR(result.surface.totalArea(), expected, expected * 0.03);
   int odd = 0;

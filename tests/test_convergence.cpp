@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "sim/cloverleaf.h"
+#include "util/exec_context.h"
 #include "viz/filters/contour.h"
 #include "viz/filters/particle_advection.h"
 
@@ -18,7 +19,8 @@ constexpr double kPi = 3.14159265358979323846;
 // Contour surface area error against the analytic sphere shrinks as the
 // grid refines (first-order in h for marching cubes area).
 TEST(Convergence, ContourAreaErrorShrinksWithResolution) {
-  auto areaError = [](vis::Id cells) {
+  util::ExecutionContext ctx;
+  auto areaError = [&ctx](vis::Id cells) {
     vis::UniformGrid g = vis::UniformGrid::cube(cells);
     vis::Field f =
         vis::Field::zeros("d", vis::Association::Points, 1, g.numPoints());
@@ -28,7 +30,7 @@ TEST(Convergence, ContourAreaErrorShrinksWithResolution) {
     g.addField(std::move(f));
     vis::ContourFilter filter;
     filter.setIsovalues({0.35});
-    const double area = filter.run(g, "d").surface.totalArea();
+    const double area = filter.run(ctx, g, "d").surface.totalArea();
     return std::abs(area - 4.0 * kPi * 0.35 * 0.35);
   };
   const double coarse = areaError(12);
@@ -42,6 +44,7 @@ TEST(Convergence, ContourAreaErrorShrinksWithResolution) {
 // RK4 order check: advecting one revolution around a rigid rotation and
 // comparing the return-to-start error across step sizes.
 TEST(Convergence, Rk4ReturnsToStartOnClosedOrbits) {
+  util::ExecutionContext ctx;
   vis::UniformGrid g = vis::UniformGrid::cube(48);
   vis::Field v =
       vis::Field::zeros("velocity", vis::Association::Points, 3,
@@ -62,7 +65,7 @@ TEST(Convergence, Rk4ReturnsToStartOnClosedOrbits) {
     // Deterministic seed: overwrite by choosing a seed RNG that puts
     // the particle near radius 0.2 — instead advect from a fixed point
     // via the sampled field directly.
-    const auto result = filter.run(g, "velocity");
+    const auto result = filter.run(ctx, g, "velocity");
     const auto& line = result.streamlines;
     if (line.numLines() == 0 || line.lineSize(0) < steps) return 1e9;
     const vis::Vec3 start = line.points.front();

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,32 +24,35 @@ using exec::Backend;
 using exec::BackendKind;
 
 TEST(BackendTokens, RoundTripAndReject) {
-  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded,
-                           BackendKind::Vectorized}) {
+  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
     EXPECT_EQ(exec::parseBackendToken(exec::backendToken(kind)), kind);
     EXPECT_EQ(exec::backendFor(kind).kind(), kind);
     EXPECT_STREQ(exec::backendFor(kind).token(), exec::backendToken(kind));
   }
   EXPECT_THROW(exec::parseBackendToken("cuda"), Error);
   EXPECT_THROW(exec::parseBackendToken(""), Error);
+  // The retired SIMD-loop backend is an unknown token like any other,
+  // and the error names the two that remain.
+  try {
+    exec::parseBackendToken("vectorized");
+    ADD_FAILURE() << "parseBackendToken(\"vectorized\") did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("serial threaded"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BackendSingletons, StableIdentity) {
   EXPECT_EQ(&exec::serialBackend(), &exec::backendFor(BackendKind::Serial));
   EXPECT_EQ(&exec::threadedBackend(),
             &exec::backendFor(BackendKind::Threaded));
-  EXPECT_EQ(&exec::vectorizedBackend(),
-            &exec::backendFor(BackendKind::Vectorized));
-  EXPECT_TRUE(exec::vectorizedBackend().vectorized());
-  EXPECT_FALSE(exec::serialBackend().vectorized());
-  EXPECT_FALSE(exec::threadedBackend().vectorized());
 }
 
 TEST(BackendConcurrency, SerialIsOneThreadedFollowsPool) {
   util::ThreadPool pool(3);
   EXPECT_EQ(exec::serialBackend().concurrency(pool), 1u);
   EXPECT_EQ(exec::threadedBackend().concurrency(pool), pool.concurrency());
-  EXPECT_EQ(exec::vectorizedBackend().concurrency(pool), pool.concurrency());
 }
 
 struct SumEnv {
@@ -75,8 +79,7 @@ TEST(BackendDispatch, CoversRangeExactlyOnceWithGrainBound) {
   constexpr std::int64_t kN = 10'000;
   constexpr std::int64_t kGrain = 128;
   util::ThreadPool pool(2);
-  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded,
-                           BackendKind::Vectorized}) {
+  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
     SumEnv env;
     env.data.resize(kN);
     std::iota(env.data.begin(), env.data.end(), std::int64_t{1});
@@ -90,8 +93,7 @@ TEST(BackendDispatch, CoversRangeExactlyOnceWithGrainBound) {
 
 TEST(BackendDispatch, EmptyRangeRunsNothing) {
   util::ThreadPool pool(2);
-  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded,
-                           BackendKind::Vectorized}) {
+  for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
     SumEnv env;
     exec::backendFor(kind).forChunks(pool, nullptr, 5, 5, 64, &env, &sumChunk);
     EXPECT_EQ(env.chunks, 0) << exec::backendToken(kind);
@@ -118,8 +120,8 @@ TEST(ExecutionContextBackend, DefaultsAndSwaps) {
 }
 
 TEST(ExecutionContextBackend, PrimitivesMatchAcrossBackends) {
-  // Scan / select / reduce / gather must be bit-identical on every
-  // backend (the filter-level equivalence lives in the determinism
+  // Scan / select / reduce / gather must be bit-identical on both
+  // backends (the filter-level equivalence lives in the determinism
   // suite; this is the primitive-level contract).
   constexpr std::int64_t kN = 100'000;
   util::ExecutionContext reference;
@@ -140,23 +142,21 @@ TEST(ExecutionContextBackend, PrimitivesMatchAcrossBackends) {
       },
       [](double a, double b) { return a + b; });
 
-  for (BackendKind kind : {BackendKind::Threaded, BackendKind::Vectorized}) {
-    util::ExecutionContext ctx;
-    ctx.setBackend(exec::backendFor(kind));
-    std::vector<std::int64_t> scan = counts;
-    EXPECT_EQ(util::exclusiveScan(ctx, scan), refTotal);
-    EXPECT_EQ(scan, refScan) << exec::backendToken(kind);
-    EXPECT_EQ(util::parallelSelect(ctx, kN, [](std::int64_t i) {
-      return i % 13 == 0;
-    }), refSel) << exec::backendToken(kind);
-    const double sum = util::parallelReduce(
-        ctx, 0, kN, 0.0,
-        [](double acc, std::int64_t i) {
-          return acc + static_cast<double>(i) * 1e-3;
-        },
-        [](double a, double b) { return a + b; });
-    EXPECT_EQ(sum, refSum) << exec::backendToken(kind);
-  }
+  util::ExecutionContext ctx;
+  ctx.setBackend(exec::threadedBackend());
+  std::vector<std::int64_t> scan = counts;
+  EXPECT_EQ(util::exclusiveScan(ctx, scan), refTotal);
+  EXPECT_EQ(scan, refScan);
+  EXPECT_EQ(util::parallelSelect(ctx, kN, [](std::int64_t i) {
+    return i % 13 == 0;
+  }), refSel);
+  const double sum = util::parallelReduce(
+      ctx, 0, kN, 0.0,
+      [](double acc, std::int64_t i) {
+        return acc + static_cast<double>(i) * 1e-3;
+      },
+      [](double a, double b) { return a + b; });
+  EXPECT_EQ(sum, refSum);
 }
 
 }  // namespace

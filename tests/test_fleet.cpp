@@ -30,6 +30,7 @@
 #include "telemetry/metric_registry.h"
 #include "telemetry/prometheus.h"
 #include "util/error.h"
+#include "util/exec_context.h"
 
 namespace pviz::fleet {
 namespace {
@@ -562,7 +563,9 @@ TEST(Coordinator, FailoverMergesBitIdenticalUnderChaos) {
   reference.sizes = sizes;
   reference.capsWatts = caps;
   reference.cycles = cycles;
-  const service::ServiceEngine::Outcome outcome = engine.handle(reference);
+  util::ExecutionContext ctx;
+  const service::ServiceEngine::Outcome outcome =
+      engine.handle(ctx, reference);
   EXPECT_EQ(merged.dump(), outcome.result.dump());
 
   // The fleet-wide scrape stays well-formed and is attributed per

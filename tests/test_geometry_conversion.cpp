@@ -1,6 +1,7 @@
 // Geometry conversion (filter outputs -> renderable triangles).
 #include <gtest/gtest.h>
 
+#include "util/exec_context.h"
 #include "viz/dataset/geometry_conversion.h"
 #include "viz/filters/clip_sphere.h"
 #include "viz/filters/threshold.h"
@@ -51,10 +52,11 @@ TEST(HexSubsetToTriangles, FacesWindOutward) {
 }
 
 TEST(HexSubsetToTriangles, ThresholdOutputRendersDirectly) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(6);
   ThresholdFilter filter;
   filter.setRange(0.0, 0.5);
-  const auto kept = filter.run(g, "x").kept;
+  const auto kept = filter.run(ctx, g, "x").kept;
   const TriangleMesh mesh = hexSubsetToTriangles(g, kept);
   EXPECT_EQ(mesh.numTriangles(), kept.numCells() * 12);
   EXPECT_THROW(hexSubsetToTriangles(g, HexSubset{{0, 1}, {1.0}}), Error);
@@ -81,10 +83,11 @@ TEST(TetMeshToTriangles, VolumePreservingSurfaceCount) {
 }
 
 TEST(TetMeshToTriangles, ClipOutputRenders) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(8);
   ClipSphereFilter filter;
   filter.setSphere(g.bounds().center(), 0.3);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   const TriangleMesh mesh = tetMeshToTriangles(result.clipped.cutPieces);
   EXPECT_EQ(mesh.numTriangles(), result.clipped.cutPieces.numTets() * 4);
 }

@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "util/exec_context.h"
 #include "viz/filters/gradient.h"
 #include "viz/filters/histogram.h"
 
@@ -21,9 +22,10 @@ UniformGrid linearField(Id cells, double a, double b, double c, double d) {
 }
 
 TEST(Gradient, ExactOnLinearFields) {
+  util::ExecutionContext ctx;
   const UniformGrid g = linearField(8, 3.0, -2.0, 0.5, 7.0);
   GradientFilter filter;
-  const auto result = filter.run(g, "f");
+  const auto result = filter.run(ctx, g, "f");
   ASSERT_EQ(result.gradient.count(), g.numPoints());
   ASSERT_EQ(result.gradient.components(), 3);
   // Central AND one-sided differences are exact on linear fields.
@@ -37,8 +39,9 @@ TEST(Gradient, ExactOnLinearFields) {
 }
 
 TEST(Gradient, SecondOrderInTheInterior) {
+  util::ExecutionContext ctx;
   // On f = sin(2πx), central differences converge at O(h²).
-  auto interiorError = [](Id cells) {
+  auto interiorError = [&ctx](Id cells) {
     UniformGrid g = UniformGrid::cube(cells);
     Field f = Field::zeros("s", Association::Points, 1, g.numPoints());
     for (Id p = 0; p < g.numPoints(); ++p) {
@@ -46,7 +49,7 @@ TEST(Gradient, SecondOrderInTheInterior) {
     }
     g.addField(std::move(f));
     GradientFilter filter;
-    const auto result = filter.run(g, "s");
+    const auto result = filter.run(ctx, g, "s");
     double maxErr = 0.0;
     for (Id p = 0; p < g.numPoints(); ++p) {
       const Id3 ijk = g.pointIjk(p);
@@ -65,18 +68,20 @@ TEST(Gradient, SecondOrderInTheInterior) {
 }
 
 TEST(Gradient, RejectsWrongFieldKinds) {
+  util::ExecutionContext ctx;
   UniformGrid g = UniformGrid::cube(3);
   g.addField(Field::zeros("v", Association::Points, 3, g.numPoints()));
   g.addField(Field::zeros("c", Association::Cells, 1, g.numCells()));
   GradientFilter filter;
-  EXPECT_THROW(filter.run(g, "v"), Error);
-  EXPECT_THROW(filter.run(g, "c"), Error);
+  EXPECT_THROW(filter.run(ctx, g, "v"), Error);
+  EXPECT_THROW(filter.run(ctx, g, "c"), Error);
 }
 
 TEST(Gradient, ProfileIsStreaming) {
+  util::ExecutionContext ctx;
   const UniformGrid g = linearField(8, 1, 1, 1, 0);
   GradientFilter filter;
-  const auto result = filter.run(g, "f");
+  const auto result = filter.run(ctx, g, "f");
   ASSERT_EQ(result.profile.phases.size(), 1u);
   EXPECT_GT(result.profile.phases[0].bytesStreamed, 0.0);
   EXPECT_LT(result.profile.phases[0].flops /
@@ -100,6 +105,7 @@ TEST(VectorMagnitude, ComputesLengths) {
 }
 
 TEST(Histogram, UniformRampFillsBinsEvenly) {
+  util::ExecutionContext ctx;
   std::vector<double> data(1000);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i);
@@ -107,7 +113,7 @@ TEST(Histogram, UniformRampFillsBinsEvenly) {
   Field f("f", Association::Points, 1, std::move(data));
   HistogramFilter filter;
   filter.setBinCount(10);
-  const auto result = filter.run(f);
+  const auto result = filter.run(ctx, f);
   const Histogram& h = result.histogram;
   EXPECT_EQ(h.totalCount(), 1000);
   ASSERT_EQ(h.bins.size(), 10u);
@@ -120,6 +126,7 @@ TEST(Histogram, UniformRampFillsBinsEvenly) {
 }
 
 TEST(Histogram, QuantilesOfAUniformRamp) {
+  util::ExecutionContext ctx;
   std::vector<double> data(10000);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i) / 9999.0;
@@ -127,7 +134,7 @@ TEST(Histogram, QuantilesOfAUniformRamp) {
   Field f("f", Association::Points, 1, std::move(data));
   HistogramFilter filter;
   filter.setBinCount(100);
-  const Histogram h = filter.run(f).histogram;
+  const Histogram h = filter.run(ctx, f).histogram;
   EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
   EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
   EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
@@ -136,20 +143,22 @@ TEST(Histogram, QuantilesOfAUniformRamp) {
 }
 
 TEST(Histogram, ConstantFieldLandsInOneBin) {
+  util::ExecutionContext ctx;
   Field f("f", Association::Cells, 1, std::vector<double>(64, 3.0));
   HistogramFilter filter;
   filter.setBinCount(8);
-  const Histogram h = filter.run(f).histogram;
+  const Histogram h = filter.run(ctx, f).histogram;
   EXPECT_EQ(h.totalCount(), 64);
   EXPECT_EQ(h.bins[0], 64);  // degenerate range collapses to bin 0
 }
 
 TEST(Histogram, VectorFieldUsesFirstComponent) {
+  util::ExecutionContext ctx;
   Field v("v", Association::Points, 3,
           {1.0, 100.0, 100.0, 2.0, 100.0, 100.0});
   HistogramFilter filter;
   filter.setBinCount(2);
-  const Histogram h = filter.run(v).histogram;
+  const Histogram h = filter.run(ctx, v).histogram;
   EXPECT_EQ(h.totalCount(), 2);
   EXPECT_DOUBLE_EQ(h.lo, 1.0);
   EXPECT_DOUBLE_EQ(h.hi, 2.0);

@@ -23,35 +23,39 @@ UniformGrid xGrid(Id cells) {
 }
 
 TEST(Isovolume, BandVolumeOnLinearFieldIsExact) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(10);
   IsovolumeFilter filter;
   filter.setRange(0.23, 0.61);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_NEAR(result.totalVolume(g), 0.61 - 0.23, 1e-9);
   EXPECT_GT(result.cutPieces.numTets(), 0);    // both faces cut cells
   EXPECT_GT(result.wholeCells.numCells(), 0);  // interior slab kept whole
 }
 
 TEST(Isovolume, FullRangeKeepsUnitVolume) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(6);
   IsovolumeFilter filter;
   filter.setRange(-1.0, 2.0);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_NEAR(result.totalVolume(g), 1.0, 1e-9);
   EXPECT_EQ(result.wholeCells.numCells(), g.numCells());
   EXPECT_EQ(result.cutPieces.numTets(), 0);
 }
 
 TEST(Isovolume, EmptyBandKeepsNothing) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(6);
   IsovolumeFilter filter;
   filter.setRange(5.0, 6.0);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_NEAR(result.totalVolume(g), 0.0, 1e-12);
   EXPECT_EQ(result.wholeCells.numCells(), 0);
 }
 
 TEST(Isovolume, AdjacentBandsTileTheRange) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(8);
   IsovolumeFilter a;
   a.setRange(0.1, 0.5);
@@ -59,17 +63,18 @@ TEST(Isovolume, AdjacentBandsTileTheRange) {
   b.setRange(0.5, 0.9);
   IsovolumeFilter whole;
   whole.setRange(0.1, 0.9);
-  const double va = a.run(g, "x").totalVolume(g);
-  const double vb = b.run(g, "x").totalVolume(g);
-  const double vw = whole.run(g, "x").totalVolume(g);
+  const double va = a.run(ctx, g, "x").totalVolume(g);
+  const double vb = b.run(ctx, g, "x").totalVolume(g);
+  const double vw = whole.run(ctx, g, "x").totalVolume(g);
   EXPECT_NEAR(va + vb, vw, 1e-9);
 }
 
 TEST(Isovolume, CarriedScalarsStayInsideBand) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(9);
   IsovolumeFilter filter;
   filter.setRange(0.3, 0.7);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   for (double s : result.cutPieces.pointScalars) {
     ASSERT_GE(s, 0.3 - 1e-9);
     ASSERT_LE(s, 0.7 + 1e-9);
@@ -83,10 +88,11 @@ TEST(Isovolume, CarriedScalarsStayInsideBand) {
 }
 
 TEST(Isovolume, WholeCellsLieStrictlyInsideBand) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(8);
   IsovolumeFilter filter;
   filter.setRange(0.25, 0.75);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   const Field& f = g.field("x");
   for (Id c : result.wholeCells.cellIds) {
     Id pts[8];
@@ -99,19 +105,21 @@ TEST(Isovolume, WholeCellsLieStrictlyInsideBand) {
 }
 
 TEST(Isovolume, RejectsBadInput) {
+  util::ExecutionContext ctx;
   IsovolumeFilter filter;
   EXPECT_THROW(filter.setRange(1.0, 0.0), Error);
   UniformGrid g = UniformGrid::cube(2);
   g.addField(Field::zeros("v", Association::Points, 3, g.numPoints()));
   filter.setRange(0.0, 1.0);
-  EXPECT_THROW(filter.run(g, "v"), Error);
+  EXPECT_THROW(filter.run(ctx, g, "v"), Error);
 }
 
 TEST(Isovolume, ProfileHasFourPhases) {
+  util::ExecutionContext ctx;
   const UniformGrid g = xGrid(6);
   IsovolumeFilter filter;
   filter.setRange(0.2, 0.8);
-  const auto result = filter.run(g, "x");
+  const auto result = filter.run(ctx, g, "x");
   EXPECT_EQ(result.profile.kernel, "isovolume");
   EXPECT_EQ(result.profile.phases.size(), 4u);
   EXPECT_EQ(result.profile.elements, g.numCells());
@@ -123,11 +131,12 @@ class IsovolumeBand
     : public ::testing::TestWithParam<std::pair<double, double>> {};
 
 TEST_P(IsovolumeBand, VolumeEqualsWidth) {
+  util::ExecutionContext ctx;
   const auto [lo, hi] = GetParam();
   const UniformGrid g = xGrid(9);
   IsovolumeFilter filter;
   filter.setRange(lo, hi);
-  EXPECT_NEAR(filter.run(g, "x").totalVolume(g), hi - lo, 1e-9);
+  EXPECT_NEAR(filter.run(ctx, g, "x").totalVolume(g), hi - lo, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(

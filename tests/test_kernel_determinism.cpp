@@ -3,13 +3,12 @@
 //
 // The two-pass (classify → scan → generate) rewrite of the filters must
 // produce byte-identical meshes and images for every execution
-// configuration — all three exec backends (serial / threaded /
-// vectorized) × thread-pool sizes 1, 2, and the hardware default: the
-// compaction lists are in ascending cell order, chunked gathers merge
-// in chunk order, the exclusive scan is exact integer arithmetic, and
-// the vectorized inner-loop variants preserve integer results and
-// floating-point association exactly.  Every configuration is compared
-// byte-for-byte against the serial backend on a one-thread pool.
+// configuration — both exec backends (serial / threaded) × thread-pool
+// sizes 1, 2, and the hardware default: the compaction lists are in
+// ascending cell order, chunked gathers merge in chunk order, and the
+// exclusive scan is exact integer arithmetic.  Every configuration is
+// compared byte-for-byte against the serial backend on a one-thread
+// pool.
 // The scan/compaction primitives themselves are exercised on their edge
 // cases (empty, single element, all zeros, totals past 2^31) against a
 // serial reference.
@@ -76,8 +75,7 @@ std::vector<ExecConfig> execConfigs() {
   std::vector<ExecConfig> out;
   for (unsigned workers : poolSizes()) {
     for (const exec::Backend* backend :
-         {&exec::serialBackend(), &exec::threadedBackend(),
-          &exec::vectorizedBackend()}) {
+         {&exec::serialBackend(), &exec::threadedBackend()}) {
       out.push_back({workers, backend});
     }
   }
@@ -363,10 +361,8 @@ TEST(KernelDeterminism, RayTracedImageAcrossConfigs) {
 // ---- awkward grid shapes ----------------------------------------------
 
 TEST(KernelDeterminism, DegenerateOneByOneByNGrid) {
-  // A 1×1×N column of cells: every row has length 1, which exercises the
-  // first-cell path of the incremental classify on every cell — and the
-  // end-cell patch-up of the vectorized row fills, where both row ends
-  // are the same cell.
+  // A 1×1×N column of cells: every row has length 1, so the classify
+  // sweep runs its one-lane tail on every cell.
   const UniformGrid g = fieldGrid({2, 2, 65}, [](const Vec3& p) {
     return p.z - 31.5;
   });
@@ -384,8 +380,9 @@ TEST(KernelDeterminism, DegenerateOneByOneByNGrid) {
 }
 
 TEST(KernelDeterminism, DegenerateGridEveryFilterEveryConfig) {
-  // The 1×1×N column through threshold, external faces, and clip — all
-  // the row-swept kernels with vectorized variants, at rowLen == 1.
+  // The 1×1×N column through threshold, external faces, and clip — the
+  // other row-swept kernels, at rowLen == 1, where external faces' ±i
+  // end-cell patch-up lands both row ends on the same cell.
   const UniformGrid g = fieldGrid({2, 2, 65}, [](const Vec3& p) {
     return p.z - 31.5;
   });
@@ -590,8 +587,10 @@ TEST(KernelDeterminism, BvhParallelBuildMatchesSerial) {
   // threshold, so the skeleton-split + subtree-task path actually runs
   // when the pool has more than one participant.
   const UniformGrid g = sim::makeCloverField(32);
-  const TriangleMesh mesh = extractExternalFaces(g, "energy").mesh;
-  const Bvh serial(mesh, /*maxLeafSize=*/4, /*parallelBuild=*/false);
+  util::ExecutionContext reference;
+  const TriangleMesh mesh = extractExternalFaces(reference, g, "energy").mesh;
+  const Bvh serial(reference, mesh, /*maxLeafSize=*/4,
+                   /*parallelBuild=*/false);
   for (unsigned workers : poolSizes()) {
     util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);

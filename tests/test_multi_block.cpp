@@ -64,8 +64,7 @@ std::vector<ExecConfig> execConfigs() {
   std::vector<ExecConfig> out;
   for (unsigned workers : poolSizes()) {
     for (const exec::Backend* backend :
-         {&exec::serialBackend(), &exec::threadedBackend(),
-          &exec::vectorizedBackend()}) {
+         {&exec::serialBackend(), &exec::threadedBackend()}) {
       out.push_back({workers, backend});
     }
   }

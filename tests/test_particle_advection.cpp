@@ -30,11 +30,12 @@ UniformGrid rotationFlow(Id cells) {
 }
 
 TEST(ParticleAdvection, ZeroFieldParticlesStayPut) {
+  util::ExecutionContext ctx;
   const UniformGrid g = constantFlow(6, {0, 0, 0});
   ParticleAdvectionFilter filter;
   filter.setSeedCount(20);
   filter.setMaxSteps(50);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   EXPECT_EQ(result.streamlines.numLines(), 20);
   for (Id l = 0; l < result.streamlines.numLines(); ++l) {
     const Id first = result.streamlines.offsets[static_cast<std::size_t>(l)];
@@ -47,13 +48,14 @@ TEST(ParticleAdvection, ZeroFieldParticlesStayPut) {
 }
 
 TEST(ParticleAdvection, ConstantFlowGivesStraightLinesOfExactLength) {
+  util::ExecutionContext ctx;
   const Vec3 v{0.3, 0.1, 0.05};
   const UniformGrid g = constantFlow(8, v);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(10);
   filter.setMaxSteps(40);
   filter.setStepLength(0.01);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   // For a constant field, RK4 moves exactly h*v per step.
   for (Id l = 0; l < result.streamlines.numLines(); ++l) {
     const Id first = result.streamlines.offsets[static_cast<std::size_t>(l)];
@@ -70,12 +72,13 @@ TEST(ParticleAdvection, ConstantFlowGivesStraightLinesOfExactLength) {
 }
 
 TEST(ParticleAdvection, RotationKeepsRadiusInvariant) {
+  util::ExecutionContext ctx;
   const UniformGrid g = rotationFlow(32);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(50);
   filter.setMaxSteps(200);
   filter.setStepLength(0.01);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   // RK4 on a rigid rotation preserves radius to high order; verify the
   // first few hundred steps keep |r| within a tight tolerance.
   Id checked = 0;
@@ -99,12 +102,13 @@ TEST(ParticleAdvection, RotationKeepsRadiusInvariant) {
 }
 
 TEST(ParticleAdvection, OutflowTerminatesParticles) {
+  util::ExecutionContext ctx;
   const UniformGrid g = constantFlow(8, {1.0, 0, 0});
   ParticleAdvectionFilter filter;
   filter.setSeedCount(30);
   filter.setMaxSteps(100000);
   filter.setStepLength(0.01);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   // Everything flows out the +x face long before the step limit.
   EXPECT_EQ(result.terminated, 30);
   EXPECT_LT(result.totalSteps, 30 * 120);
@@ -114,12 +118,13 @@ TEST(ParticleAdvection, OutflowTerminatesParticles) {
 }
 
 TEST(ParticleAdvection, DeterministicAcrossRuns) {
+  util::ExecutionContext ctx;
   const UniformGrid g = rotationFlow(12);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(25);
   filter.setMaxSteps(60);
-  const auto a = filter.run(g, "velocity");
-  const auto b = filter.run(g, "velocity");
+  const auto a = filter.run(ctx, g, "velocity");
+  const auto b = filter.run(ctx, g, "velocity");
   ASSERT_EQ(a.streamlines.points.size(), b.streamlines.points.size());
   for (std::size_t i = 0; i < a.streamlines.points.size(); ++i) {
     ASSERT_EQ(a.streamlines.points[i], b.streamlines.points[i]);
@@ -128,23 +133,25 @@ TEST(ParticleAdvection, DeterministicAcrossRuns) {
 }
 
 TEST(ParticleAdvection, SeedRngChangesSeeds) {
+  util::ExecutionContext ctx;
   const UniformGrid g = rotationFlow(12);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(5);
   filter.setMaxSteps(5);
-  const auto a = filter.run(g, "velocity");
+  const auto a = filter.run(ctx, g, "velocity");
   filter.setSeedRngSeed(777);
-  const auto b = filter.run(g, "velocity");
+  const auto b = filter.run(ctx, g, "velocity");
   EXPECT_FALSE(a.streamlines.points[0] == b.streamlines.points[0]);
 }
 
 TEST(ParticleAdvection, ScalarsRecordIntegrationTime) {
+  util::ExecutionContext ctx;
   const UniformGrid g = constantFlow(8, {0.5, 0, 0});
   ParticleAdvectionFilter filter;
   filter.setSeedCount(3);
   filter.setMaxSteps(10);
   filter.setStepLength(0.002);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   for (Id l = 0; l < result.streamlines.numLines(); ++l) {
     const Id first = result.streamlines.offsets[static_cast<std::size_t>(l)];
     const Id count = result.streamlines.lineSize(l);
@@ -157,6 +164,7 @@ TEST(ParticleAdvection, ScalarsRecordIntegrationTime) {
 }
 
 TEST(ParticleAdvection, ValidatesParameters) {
+  util::ExecutionContext ctx;
   ParticleAdvectionFilter filter;
   EXPECT_THROW(filter.setSeedCount(-1), Error);
   EXPECT_NO_THROW(filter.setSeedCount(0));  // degenerate but valid
@@ -164,10 +172,11 @@ TEST(ParticleAdvection, ValidatesParameters) {
   EXPECT_THROW(filter.setStepLength(0.0), Error);
   UniformGrid g = UniformGrid::cube(2);
   g.addField(Field::zeros("s", Association::Points, 1, g.numPoints()));
-  EXPECT_THROW(filter.run(g, "s"), Error);
+  EXPECT_THROW(filter.run(ctx, g, "s"), Error);
 }
 
 TEST(ParticleAdvection, ZeroSeedsYieldCanonicalEmptyPolylineSet) {
+  util::ExecutionContext ctx;
   // Zero seeds is the degenerate-but-valid floor of the flow workload
   // axis: the run completes, and the output is the one canonical empty
   // PolylineSet (single sentinel offset, no points, no scalars) so that
@@ -176,7 +185,7 @@ TEST(ParticleAdvection, ZeroSeedsYieldCanonicalEmptyPolylineSet) {
   ParticleAdvectionFilter filter;
   filter.setSeedCount(0);
   filter.setMaxSteps(30);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   EXPECT_EQ(result.streamlines.numLines(), 0);
   EXPECT_EQ(result.streamlines.offsets, (std::vector<Id>{0}));
   EXPECT_TRUE(result.streamlines.points.empty());
@@ -185,16 +194,17 @@ TEST(ParticleAdvection, ZeroSeedsYieldCanonicalEmptyPolylineSet) {
 
   // Same shape on every schedule — no worker ever claims a particle.
   filter.setSchedule(ParticleAdvectionFilter::Schedule::StaticChunk);
-  const auto stat = filter.run(g, "velocity");
+  const auto stat = filter.run(ctx, g, "velocity");
   EXPECT_EQ(stat.streamlines.offsets, (std::vector<Id>{0}));
 }
 
 TEST(ParticleAdvection, SingleSeedTracesExactlyOneLine) {
+  util::ExecutionContext ctx;
   const UniformGrid g = rotationFlow(8);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(1);
   filter.setMaxSteps(30);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   ASSERT_EQ(result.streamlines.numLines(), 1);
   ASSERT_EQ(result.streamlines.offsets.size(), 2u);
   EXPECT_EQ(result.streamlines.offsets[0], 0);
@@ -205,7 +215,7 @@ TEST(ParticleAdvection, SingleSeedTracesExactlyOneLine) {
             result.streamlines.points.size());
 
   // A repeat run reproduces the identical line (counter-based seeding).
-  const auto again = filter.run(g, "velocity");
+  const auto again = filter.run(ctx, g, "velocity");
   EXPECT_EQ(again.streamlines.offsets, result.streamlines.offsets);
   for (std::size_t i = 0; i < result.streamlines.points.size(); ++i) {
     EXPECT_EQ(again.streamlines.points[i], result.streamlines.points[i]);
@@ -213,11 +223,12 @@ TEST(ParticleAdvection, SingleSeedTracesExactlyOneLine) {
 }
 
 TEST(ParticleAdvection, ProfileCountsTrackSteps) {
+  util::ExecutionContext ctx;
   const UniformGrid g = rotationFlow(10);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(40);
   filter.setMaxSteps(30);
-  const auto result = filter.run(g, "velocity");
+  const auto result = filter.run(ctx, g, "velocity");
   EXPECT_EQ(result.profile.kernel, "particle-advection");
   EXPECT_GT(result.totalSteps, 0);
   // Advection flops scale linearly with the steps actually taken.
@@ -227,13 +238,14 @@ TEST(ParticleAdvection, ProfileCountsTrackSteps) {
 }
 
 TEST(ParticleAdvection, StaticScheduleMatchesWorkSteal) {
+  util::ExecutionContext ctx;
   const UniformGrid g = rotationFlow(10);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(50);
   filter.setMaxSteps(60);
-  const auto worksteal = filter.run(g, "velocity");
+  const auto worksteal = filter.run(ctx, g, "velocity");
   filter.setSchedule(ParticleAdvectionFilter::Schedule::StaticChunk);
-  const auto stat = filter.run(g, "velocity");
+  const auto stat = filter.run(ctx, g, "velocity");
   EXPECT_EQ(worksteal.totalSteps, stat.totalSteps);
   EXPECT_EQ(worksteal.terminated, stat.terminated);
   ASSERT_EQ(worksteal.streamlines.points.size(), stat.streamlines.points.size());

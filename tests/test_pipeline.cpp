@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.h"
+#include "util/exec_context.h"
 
 namespace pviz::core {
 namespace {
@@ -20,7 +21,8 @@ PipelineConfig smallPipeline() {
 }
 
 TEST(Pipeline, RunsAllCyclesAndAccountsTimeAndEnergy) {
-  const PipelineReport report = runInSituPipeline(smallPipeline());
+  util::ExecutionContext ctx;
+  const PipelineReport report = runInSituPipeline(ctx, smallPipeline());
   ASSERT_EQ(report.cycles.size(), 3u);
   EXPECT_GT(report.totalSeconds, 0.0);
   EXPECT_GT(report.totalEnergyJoules, 0.0);
@@ -37,24 +39,26 @@ TEST(Pipeline, RunsAllCyclesAndAccountsTimeAndEnergy) {
 }
 
 TEST(Pipeline, VizFractionIsAProperFraction) {
-  const PipelineReport report = runInSituPipeline(smallPipeline());
+  util::ExecutionContext ctx;
+  const PipelineReport report = runInSituPipeline(ctx, smallPipeline());
   EXPECT_GT(report.vizFraction, 0.0);
   EXPECT_LT(report.vizFraction, 1.0);
 }
 
 TEST(Pipeline, CappingVizBarelyHurtsCappingSimHurtsMore) {
+  util::ExecutionContext ctx;
   // The paper's central use case: visualization tolerates a low cap;
   // the simulation does not.
   PipelineConfig config = smallPipeline();
-  const PipelineReport uncapped = runInSituPipeline(config);
+  const PipelineReport uncapped = runInSituPipeline(ctx, config);
 
   config.vizCapWatts = 45.0;
   config.simCapWatts = 120.0;
-  const PipelineReport vizCapped = runInSituPipeline(config);
+  const PipelineReport vizCapped = runInSituPipeline(ctx, config);
 
   config.vizCapWatts = 120.0;
   config.simCapWatts = 45.0;
-  const PipelineReport simCapped = runInSituPipeline(config);
+  const PipelineReport simCapped = runInSituPipeline(ctx, config);
 
   const double vizPenalty = vizCapped.totalSeconds / uncapped.totalSeconds;
   const double simPenalty = simCapped.totalSeconds / uncapped.totalSeconds;
@@ -66,31 +70,34 @@ TEST(Pipeline, CappingVizBarelyHurtsCappingSimHurtsMore) {
 }
 
 TEST(Pipeline, MultipleAlgorithmsExtendVizTime) {
+  util::ExecutionContext ctx;
   PipelineConfig one = smallPipeline();
   PipelineConfig two = smallPipeline();
   two.algorithms = {Algorithm::Contour, Algorithm::Threshold};
-  const PipelineReport a = runInSituPipeline(one);
-  const PipelineReport b = runInSituPipeline(two);
+  const PipelineReport a = runInSituPipeline(ctx, one);
+  const PipelineReport b = runInSituPipeline(ctx, two);
   EXPECT_GT(b.vizFraction, a.vizFraction);
 }
 
 TEST(Pipeline, ValidatesConfiguration) {
+  util::ExecutionContext ctx;
   PipelineConfig config = smallPipeline();
   config.cycles = 0;
-  EXPECT_THROW(runInSituPipeline(config), Error);
+  EXPECT_THROW(runInSituPipeline(ctx, config), Error);
   config = smallPipeline();
   config.algorithms.clear();
-  EXPECT_THROW(runInSituPipeline(config), Error);
+  EXPECT_THROW(runInSituPipeline(ctx, config), Error);
 }
 
 TEST(Pipeline, VizFractionLandsInThePaperBallparkWithRenderers) {
+  util::ExecutionContext ctx;
   // With a rendering-heavy pipeline the paper quotes 10-20% of total
   // time in visualization; our small configuration lands in a broad
   // band around that.
   PipelineConfig config = smallPipeline();
   config.simStepsPerCycle = 400;
   config.algorithms = {Algorithm::Contour};
-  const PipelineReport report = runInSituPipeline(config);
+  const PipelineReport report = runInSituPipeline(ctx, config);
   EXPECT_GT(report.vizFraction, 0.005);
   EXPECT_LT(report.vizFraction, 0.6);
 }

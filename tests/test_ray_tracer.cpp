@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/cloverleaf.h"
+#include "util/exec_context.h"
 #include "viz/rendering/ray_tracer.h"
 
 namespace pviz::vis {
@@ -10,12 +11,13 @@ namespace {
 UniformGrid dataset() { return sim::makeCloverField(12); }
 
 TEST(RayTracer, RendersSomethingFromEveryOrbitCamera) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   RayTracer tracer;
   tracer.setImageSize(48, 48);
   tracer.setCameraCount(4);
   tracer.setKeepFirstImageOnly(false);
-  const auto result = tracer.run(g, "energy");
+  const auto result = tracer.run(ctx, g, "energy");
   ASSERT_EQ(result.images.size(), 4u);
   for (const auto& image : result.images) {
     // The dataset fills a good chunk of the frame from every angle.
@@ -25,41 +27,45 @@ TEST(RayTracer, RendersSomethingFromEveryOrbitCamera) {
 }
 
 TEST(RayTracer, RayAndHitAccounting) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   RayTracer tracer;
   tracer.setImageSize(32, 24);
   tracer.setCameraCount(3);
-  const auto result = tracer.run(g, "energy");
+  const auto result = tracer.run(ctx, g, "energy");
   EXPECT_EQ(result.raysTraced, 32 * 24 * 3);
   EXPECT_GT(result.raysHit, 0);
   EXPECT_LT(result.raysHit, result.raysTraced);
 }
 
 TEST(RayTracer, TriangleCountMatchesExternalFaces) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();  // 12^3 cells
   RayTracer tracer;
   tracer.setImageSize(8, 8);
   tracer.setCameraCount(1);
-  const auto result = tracer.run(g, "energy");
+  const auto result = tracer.run(ctx, g, "energy");
   EXPECT_EQ(result.trianglesRendered, 2 * 6 * 12 * 12);
 }
 
 TEST(RayTracer, KeepFirstImageOnlyBoundsMemory) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   RayTracer tracer;
   tracer.setImageSize(16, 16);
   tracer.setCameraCount(5);
-  const auto result = tracer.run(g, "energy");  // default keep-first
+  const auto result = tracer.run(ctx, g, "energy");  // default keep-first
   EXPECT_EQ(result.images.size(), 1u);
   EXPECT_EQ(result.raysTraced, 16 * 16 * 5);  // all cameras still traced
 }
 
 TEST(RayTracer, HitPixelsAreOpaqueMissesTransparent) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   RayTracer tracer;
   tracer.setImageSize(40, 40);
   tracer.setCameraCount(1);
-  const auto result = tracer.run(g, "energy");
+  const auto result = tracer.run(ctx, g, "energy");
   const Image& image = result.images.front();
   std::int64_t opaque = 0;
   for (int y = 0; y < image.height(); ++y) {
@@ -73,11 +79,12 @@ TEST(RayTracer, HitPixelsAreOpaqueMissesTransparent) {
 }
 
 TEST(RayTracer, ProfileHasFourPhasesWithRealCounts) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   RayTracer tracer;
   tracer.setImageSize(24, 24);
   tracer.setCameraCount(2);
-  const auto result = tracer.run(g, "energy");
+  const auto result = tracer.run(ctx, g, "energy");
   ASSERT_EQ(result.profile.phases.size(), 3u);
   EXPECT_EQ(result.profile.phases[0].name, "gather-external-faces");
   EXPECT_EQ(result.profile.phases[1].name, "bvh-build");
@@ -95,12 +102,13 @@ TEST(RayTracer, ValidatesParameters) {
 }
 
 TEST(RayTracer, DeterministicImages) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   RayTracer tracer;
   tracer.setImageSize(20, 20);
   tracer.setCameraCount(1);
-  const auto a = tracer.run(g, "energy");
-  const auto b = tracer.run(g, "energy");
+  const auto a = tracer.run(ctx, g, "energy");
+  const auto b = tracer.run(ctx, g, "energy");
   const Color ca = a.images.front().average();
   const Color cb = b.images.front().average();
   EXPECT_EQ(ca.r, cb.r);

@@ -184,17 +184,23 @@ TEST(Protocol, BackendFieldRoundTrip) {
   request.op = Op::Classify;
   request.algorithm = core::Algorithm::Contour;
   request.size = 64;
-  request.backend = "vectorized";
+  request.backend = "threaded";
   expectRequestRoundTrip(request);
   // Empty backend (the default) is omitted from the wire form entirely.
   Request plain;
   plain.op = Op::Ping;
   EXPECT_EQ(toJson(plain).find("backend"), nullptr);
-  // The backend never reaches the cache key: every backend is
-  // bit-identical, so serial and vectorized must share a cache entry.
+  // The backend never reaches the cache key: both backends are
+  // bit-identical, so serial and threaded must share a cache entry.
   Request other = request;
   other.backend = "serial";
   EXPECT_EQ(canonicalCacheKey(request), canonicalCacheKey(other));
+  // An unknown token — including the retired "vectorized" — is
+  // rejected at parse, before the request can reach a worker.
+  EXPECT_THROW(requestFromJson(Json::parse(
+                   R"({"op":"classify","algorithm":"contour","size":64,)"
+                   R"("backend":"vectorized"})")),
+               Error);
 }
 
 TEST(Protocol, AdvectOverridesRoundTrip) {

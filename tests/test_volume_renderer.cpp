@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/cloverleaf.h"
+#include "util/exec_context.h"
 #include "viz/rendering/volume_renderer.h"
 
 namespace pviz::vis {
@@ -10,12 +11,13 @@ namespace {
 UniformGrid dataset() { return sim::makeCloverField(12); }
 
 TEST(VolumeRenderer, AccumulatedAlphaStaysInRange) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   VolumeRenderer renderer;
   renderer.setImageSize(32, 32);
   renderer.setCameraCount(2);
   renderer.setKeepFirstImageOnly(false);
-  const auto result = renderer.run(g, "energy");
+  const auto result = renderer.run(ctx, g, "energy");
   ASSERT_EQ(result.images.size(), 2u);
   for (const auto& image : result.images) {
     for (int y = 0; y < image.height(); ++y) {
@@ -30,40 +32,44 @@ TEST(VolumeRenderer, AccumulatedAlphaStaysInRange) {
 }
 
 TEST(VolumeRenderer, CoversTheDatasetSilhouette) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   VolumeRenderer renderer;
   renderer.setImageSize(40, 40);
   renderer.setCameraCount(1);
-  const auto result = renderer.run(g, "energy");
+  const auto result = renderer.run(ctx, g, "energy");
   const Image& image = result.images.front();
   EXPECT_GT(image.coveredPixels(0.05), 40 * 40 / 10);
   EXPECT_LT(image.coveredPixels(0.05), 40 * 40);
 }
 
 TEST(VolumeRenderer, SampleAccountingIsPlausible) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   VolumeRenderer renderer;
   renderer.setImageSize(24, 24);
   renderer.setCameraCount(2);
   renderer.setSamplesAcross(64);
-  const auto result = renderer.run(g, "energy");
+  const auto result = renderer.run(ctx, g, "energy");
   EXPECT_EQ(result.raysTraced, 24 * 24 * 2);
   EXPECT_GT(result.samplesTaken, result.raysTraced);  // many samples/ray
   EXPECT_LT(result.samplesTaken, result.raysTraced * 80);
 }
 
 TEST(VolumeRenderer, TransparentTransferFunctionGivesEmptyImage) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   VolumeRenderer renderer;
   renderer.setImageSize(16, 16);
   renderer.setCameraCount(1);
   renderer.setColorTable(
       ColorTable({{0.0, {1, 0, 0, 0.0}}, {1.0, {1, 0, 0, 0.0}}}));
-  const auto result = renderer.run(g, "energy");
+  const auto result = renderer.run(ctx, g, "energy");
   EXPECT_EQ(result.images.front().coveredPixels(1e-6), 0);
 }
 
 TEST(VolumeRenderer, OpaqueTransferFunctionTerminatesEarly) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   VolumeRenderer lowOpacity;
   lowOpacity.setImageSize(24, 24);
@@ -75,18 +81,19 @@ TEST(VolumeRenderer, OpaqueTransferFunctionTerminatesEarly) {
   highOpacity.setCameraCount(1);
   highOpacity.setColorTable(
       ColorTable({{0.0, {1, 1, 1, 0.95}}, {1.0, {1, 1, 1, 0.95}}}));
-  const auto low = lowOpacity.run(g, "energy");
-  const auto high = highOpacity.run(g, "energy");
+  const auto low = lowOpacity.run(ctx, g, "energy");
+  const auto high = highOpacity.run(ctx, g, "energy");
   // Early termination: opaque volumes take far fewer samples.
   EXPECT_LT(high.samplesTaken * 3, low.samplesTaken);
 }
 
 TEST(VolumeRenderer, ProfileWorkingSetIsTheField) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   VolumeRenderer renderer;
   renderer.setImageSize(16, 16);
   renderer.setCameraCount(1);
-  const auto result = renderer.run(g, "energy");
+  const auto result = renderer.run(ctx, g, "energy");
   ASSERT_EQ(result.profile.phases.size(), 1u);
   EXPECT_EQ(result.profile.phases[0].name, "ray-march");
   EXPECT_DOUBLE_EQ(result.profile.phases[0].workingSetBytes,
@@ -95,16 +102,18 @@ TEST(VolumeRenderer, ProfileWorkingSetIsTheField) {
 }
 
 TEST(VolumeRenderer, ValidatesParameters) {
+  util::ExecutionContext ctx;
   VolumeRenderer renderer;
   EXPECT_THROW(renderer.setImageSize(-1, 4), Error);
   EXPECT_THROW(renderer.setCameraCount(0), Error);
   EXPECT_THROW(renderer.setSamplesAcross(1), Error);
   UniformGrid g = UniformGrid::cube(2);
   g.addField(Field::zeros("v", Association::Points, 3, g.numPoints()));
-  EXPECT_THROW(renderer.run(g, "v"), Error);
+  EXPECT_THROW(renderer.run(ctx, g, "v"), Error);
 }
 
 TEST(VolumeRenderer, MoreSamplesRefineTheImageConsistently) {
+  util::ExecutionContext ctx;
   const UniformGrid g = dataset();
   VolumeRenderer coarse;
   coarse.setImageSize(20, 20);
@@ -114,8 +123,8 @@ TEST(VolumeRenderer, MoreSamplesRefineTheImageConsistently) {
   fine.setImageSize(20, 20);
   fine.setCameraCount(1);
   fine.setSamplesAcross(256);
-  const Color a = coarse.run(g, "energy").images.front().average();
-  const Color b = fine.run(g, "energy").images.front().average();
+  const Color a = coarse.run(ctx, g, "energy").images.front().average();
+  const Color b = fine.run(ctx, g, "energy").images.front().average();
   // Same scene: averages agree within a loose tolerance thanks to the
   // step-size opacity correction.
   EXPECT_NEAR(a.a, b.a, 0.08);

@@ -1,6 +1,7 @@
 // Point welding tests.
 #include <gtest/gtest.h>
 
+#include "util/exec_context.h"
 #include "viz/dataset/weld.h"
 #include "viz/filters/contour.h"
 
@@ -57,6 +58,7 @@ TEST(Weld, EmptyMeshIsFine) {
 }
 
 TEST(Weld, ContourSoupCompressesAboutFourToSix) {
+  util::ExecutionContext ctx;
   // Each marching-cubes vertex is shared by ~4-6 triangles, so welding
   // a contour soup should compress substantially.
   UniformGrid g = UniformGrid::cube(20);
@@ -67,7 +69,7 @@ TEST(Weld, ContourSoupCompressesAboutFourToSix) {
   g.addField(std::move(f));
   ContourFilter contour;
   contour.setIsovalues({0.3});
-  const auto surface = contour.run(g, "d").surface;
+  const auto surface = contour.run(ctx, g, "d").surface;
   const WeldResult welded = weldPoints(surface, 1e-7);
   EXPECT_GT(welded.compressionRatio(), 3.0);
   EXPECT_LT(welded.compressionRatio(), 8.0);
@@ -75,6 +77,7 @@ TEST(Weld, ContourSoupCompressesAboutFourToSix) {
 }
 
 TEST(Weld, WeldedSphereContourIsClosed) {
+  util::ExecutionContext ctx;
   UniformGrid g = UniformGrid::cube(16);
   Field f = Field::zeros("d", Association::Points, 1, g.numPoints());
   for (Id p = 0; p < g.numPoints(); ++p) {
@@ -83,7 +86,7 @@ TEST(Weld, WeldedSphereContourIsClosed) {
   g.addField(std::move(f));
   ContourFilter contour;
   contour.setIsovalues({0.32});
-  const auto surface = contour.run(g, "d").surface;
+  const auto surface = contour.run(ctx, g, "d").surface;
   const WeldResult welded = weldPoints(surface, 1e-7);
   EXPECT_EQ(countBoundaryEdges(welded.mesh), 0);
 }

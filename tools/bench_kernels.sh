@@ -164,9 +164,7 @@ doc["speedup"] = {
 }
 
 # Per-backend columns: fold BM_<Kernel>Backend/<backend>/<size> rows into
-# one table row per (kernel, size), with the vectorized speedup measured
-# against `threaded` (the default backend; on a 1-core host threaded and
-# serial coincide, so this is the honest scalar baseline).
+# one table row per (kernel, size) with a serial and a threaded column.
 backends = {}
 for name, ms in cur.items():
     parts = name.split("/")
@@ -174,13 +172,9 @@ for name, ms in cur.items():
         kernel = parts[0][len("BM_") : -len("Backend")]
         row = backends.setdefault(f"{kernel}/{parts[2]}", {})
         row[parts[1]] = ms
-for row in backends.values():
-    if row.get("vectorized") and row.get("threaded"):
-        row["vectorized_speedup"] = round(row["threaded"] / row["vectorized"], 3)
 if backends:
     doc["backends"] = {
         "time_unit": "ms",
-        "speedup_baseline": "threaded",
         "kernels": dict(sorted(backends.items())),
     }
 

@@ -82,7 +82,7 @@ tracing / telemetry:
                             of this request (response `trace` field)
   --trace-out PATH          write that dump to PATH (Perfetto-loadable)
   --backend NAME            execution backend for this request on the
-                            server: serial | threaded | vectorized
+                            server: serial | threaded
                             (default: the server's own default; never
                             part of the result-cache key — backends are
                             bit-identical)

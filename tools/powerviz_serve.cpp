@@ -60,8 +60,8 @@ options:
   --caps w,w,...      default cap sweep for classify/study requests
   --cycles N          default visualization cycles (default 10)
   --backend NAME      execution backend for requests that don't name one:
-                      serial | threaded | vectorized (default: the
-                      POWERVIZ_BACKEND environment default, else threaded)
+                      serial | threaded (default: the POWERVIZ_BACKEND
+                      environment default, else threaded)
   --slo-p99-ms SPEC   per-op p99 latency objectives feeding the SLO
                       burn-rate gauges and the slow-request event log.
                       SPEC is `op=ms[,op=ms...]` (e.g.

@@ -50,8 +50,8 @@ options:
   --cache PATH          characterization cache file (default: the
                         POWERVIZ_PROFILE_CACHE env var, else
                         pviz_profile_cache.txt; "none" disables)
-  --backend NAME        execution backend: serial | threaded | vectorized
-                        (default: POWERVIZ_BACKEND, else threaded; all
+  --backend NAME        execution backend: serial | threaded
+                        (default: POWERVIZ_BACKEND, else threaded; both
                         backends produce bit-identical results)
   --advect-seeds N      advection particle count, 1..50000000
                         (default 1000)
