@@ -30,6 +30,7 @@ int main() {
 
   core::StudyConfig config = benchutil::defaultStudyConfig();
   core::Study study(config);
+  util::ExecutionContext ctx;
   core::PowerAdvisor advisor(config.machine, config.simulator);
 
   util::TextTable table;
@@ -38,8 +39,8 @@ int main() {
   for (core::Algorithm algorithm :
        {core::Algorithm::Contour, core::Algorithm::RayTracing,
         core::Algorithm::VolumeRendering}) {
-    const vis::KernelProfile vizKernel =
-        core::scaleKernelWork(study.characterize(algorithm, size), 100.0);
+    const vis::KernelProfile vizKernel = core::scaleKernelWork(
+        study.characterize(ctx, algorithm, size, config.params), 100.0);
     for (double budget : {80.0, 65.0, 50.0}) {
       const core::BudgetPlan plan =
           advisor.planBudget(simKernel, vizKernel, budget);

@@ -21,6 +21,7 @@ int main() {
   core::StudyConfig config = benchutil::defaultStudyConfig();
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 64);
   core::Study study(config);
+  util::ExecutionContext ctx;
 
   const arch::MachineDescription machines[] = {
       arch::MachineDescription::broadwellE52695v4(),
@@ -39,7 +40,8 @@ int main() {
                      "Tratio@floor", "Class"});
     for (core::Algorithm algorithm : core::allAlgorithms()) {
       const vis::KernelProfile kernel = core::repeatKernel(
-          core::scaleKernelWork(study.characterize(algorithm, size), 100.0),
+          core::scaleKernelWork(
+              study.characterize(ctx, algorithm, size, config.params), 100.0),
           config.cycles);
       const core::Measurement base = simulator.run(kernel, machine.tdpWatts);
       auto ratioAt = [&](double frac) {

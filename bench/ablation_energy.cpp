@@ -18,12 +18,14 @@ int main() {
   core::StudyConfig config = benchutil::defaultStudyConfig();
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 64);
   core::Study study(config);
+  util::ExecutionContext ctx;
 
   util::TextTable table;
   table.setHeader({"Algorithm", "minTime cap", "minEDP cap", "minEnergy cap",
                    "E@TDP (J)", "E@minEnergy (J)", "T penalty"});
   for (core::Algorithm algorithm : core::allAlgorithms()) {
-    const auto sweep = study.capSweep(algorithm, size);
+    const auto sweep = study.capSweep(ctx, algorithm, size, config.capsWatts,
+                                      config.cycles);
     const core::OptimalCaps best = core::optimalCaps(sweep);
     const core::Measurement* atTdp = &sweep.front().measurement;
     const core::Measurement* atBest = nullptr;

@@ -20,8 +20,9 @@ int main() {
   core::StudyConfig config = benchutil::defaultStudyConfig();
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 64);
   core::Study study(config);
-  const vis::KernelProfile& base =
-      study.characterize(core::Algorithm::VolumeRendering, size);
+  util::ExecutionContext ctx;
+  const vis::KernelProfile& base = study.characterize(
+      ctx, core::Algorithm::VolumeRendering, size, config.params);
 
   util::TextTable table;
   table.setHeader({"governor", "quantum(ms)", "cycles", "T(s)", "EffGHz",

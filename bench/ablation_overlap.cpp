@@ -35,11 +35,13 @@ int main() {
   core::StudyConfig config = benchutil::defaultStudyConfig();
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 64);
   core::Study study(config);
+  util::ExecutionContext ctx;
   core::ExecutionSimulator simulator(config.machine, config.simulator);
 
   for (core::Algorithm algorithm :
        {core::Algorithm::Contour, core::Algorithm::VolumeRendering}) {
-    const vis::KernelProfile& base = study.characterize(algorithm, size);
+    const vis::KernelProfile& base =
+        study.characterize(ctx, algorithm, size, config.params);
     std::cout << '\n'
               << core::algorithmName(algorithm)
               << " — Tratio under each cap, by overlap policy\n";

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "core/study.h"
+#include "util/exec_context.h"
 
 namespace pviz::benchutil {
 

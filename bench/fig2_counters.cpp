@@ -20,12 +20,14 @@ int main() {
   core::StudyConfig config = benchutil::defaultStudyConfig();
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 128);
   core::Study study(config);
+  util::ExecutionContext ctx;
 
   const auto& algorithms = core::allAlgorithms();
   std::vector<std::vector<core::ConfigRecord>> sweeps;
   sweeps.reserve(algorithms.size());
   for (core::Algorithm algorithm : algorithms) {
-    sweeps.push_back(study.capSweep(algorithm, size));
+    sweeps.push_back(study.capSweep(ctx, algorithm, size, config.capsWatts,
+                                    config.cycles));
   }
 
   auto printSeries = [&](const std::string& title, auto&& metric,

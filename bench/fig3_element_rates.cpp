@@ -19,6 +19,7 @@ int main() {
   core::StudyConfig config = benchutil::defaultStudyConfig();
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 128);
   core::Study study(config);
+  util::ExecutionContext ctx;
 
   // The paper compares only the algorithms whose rate is meaningful in
   // input cells: the cell-centered set.
@@ -38,7 +39,8 @@ int main() {
 
   std::vector<std::vector<core::ConfigRecord>> sweeps;
   for (core::Algorithm algorithm : cellCentered) {
-    sweeps.push_back(study.capSweep(algorithm, size));
+    sweeps.push_back(study.capSweep(ctx, algorithm, size, config.capsWatts,
+                                    config.cycles));
   }
   for (std::size_t c = 0; c < config.capsWatts.size(); ++c) {
     std::vector<std::string> row = {

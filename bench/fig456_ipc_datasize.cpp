@@ -16,7 +16,8 @@ using namespace pviz;
 
 namespace {
 
-void printFigure(core::Study& study, const std::string& title,
+void printFigure(core::Study& study, util::ExecutionContext& ctx,
+                 const std::string& title,
                  core::Algorithm algorithm,
                  const std::vector<vis::Id>& sizes) {
   std::cout << '\n' << title << " — " << core::algorithmName(algorithm)
@@ -29,10 +30,11 @@ void printFigure(core::Study& study, const std::string& title,
     }
     table.setHeader(std::move(header));
   }
-  const auto& caps = study.config().capsWatts;
+  const core::StudyConfig& config = study.config();
+  const auto& caps = config.capsWatts;
   std::vector<std::vector<core::ConfigRecord>> sweeps;
   for (vis::Id size : sizes) {
-    sweeps.push_back(study.capSweep(algorithm, size));
+    sweeps.push_back(study.capSweep(ctx, algorithm, size, caps, config.cycles));
   }
   for (std::size_t c = 0; c < caps.size(); ++c) {
     std::vector<std::string> row = {util::formatFixed(caps[c], 0)};
@@ -53,15 +55,16 @@ int main() {
 
   core::StudyConfig config = benchutil::defaultStudyConfig();
   core::Study study(config);
+  util::ExecutionContext ctx;
   const std::vector<vis::Id> sizes = config.sizes;  // 32..256
 
-  printFigure(study, "Fig. 4 (IPC grows with size)",
+  printFigure(study, ctx, "Fig. 4 (IPC grows with size)",
               core::Algorithm::Slice, sizes);
-  printFigure(study, "Fig. 5 (IPC falls with size)",
+  printFigure(study, ctx, "Fig. 5 (IPC falls with size)",
               core::Algorithm::VolumeRendering, sizes);
-  printFigure(study, "Fig. 6 (IPC size-invariant)",
+  printFigure(study, ctx, "Fig. 6 (IPC size-invariant)",
               core::Algorithm::ParticleAdvection, sizes);
-  printFigure(study, "Fig. 6 companion (also size-invariant)",
+  printFigure(study, ctx, "Fig. 6 companion (also size-invariant)",
               core::Algorithm::RayTracing, sizes);
   return 0;
 }

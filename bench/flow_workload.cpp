@@ -17,11 +17,10 @@
 //
 // Knobs: PVIZ_SIZE (grid size, default 64), PVIZ_ADVECT_STEPS (max
 // integration steps, default 100), PVIZ_CYCLES, PVIZ_CACHE/PVIZ_NOCACHE
-// as usual.  Each seed count runs its own Study (the characterization
-// memo is keyed on the configured params), but all share the on-disk
-// profile cache, whose key covers seed count and step count.
+// as usual.  One Study serves every seed count: its memo and the
+// on-disk profile cache are keyed on the params, seed and step counts
+// included.
 #include <iostream>
-#include <memory>
 
 #include "bench_common.h"
 #include "util/table.h"
@@ -48,25 +47,21 @@ int main() {
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 64);
   const vis::Id maxSteps = benchutil::envInt("PVIZ_ADVECT_STEPS", 100);
 
-  // One study per particle count: the in-memory characterization memo is
-  // keyed on (algorithm, size) under the configured params, so the seed
-  // count has to live in the config.  The studies still share the disk
-  // cache (its key covers seedCount/maxSteps) and each generates only
-  // its own size^3 dataset.
-  std::vector<std::unique_ptr<core::Study>> studies;
-  core::StudyConfig base = benchutil::defaultStudyConfig();
-  base.params.maxSteps = maxSteps;
-  for (vis::Id count : kParticleCounts) {
-    core::StudyConfig config = base;
-    config.params.seedCount = count;
-    studies.push_back(std::make_unique<core::Study>(config));
-  }
-  const std::vector<double>& caps = base.capsWatts;
+  // One study for every particle count: the characterization memo and
+  // the disk cache are keyed on the params, seedCount included, so each
+  // count characterizes once over the one shared size^3 dataset.
+  core::StudyConfig config = benchutil::defaultStudyConfig();
+  config.params.maxSteps = maxSteps;
+  core::Study study(config);
+  util::ExecutionContext ctx;
+  const std::vector<double>& caps = config.capsWatts;
 
   std::vector<std::vector<core::ConfigRecord>> sweeps;
-  for (auto& study : studies) {
-    sweeps.push_back(
-        study->capSweep(core::Algorithm::ParticleAdvection, size));
+  for (vis::Id count : kParticleCounts) {
+    core::AlgorithmParams params = config.params;
+    params.seedCount = count;
+    sweeps.push_back(study.capSweep(ctx, core::Algorithm::ParticleAdvection,
+                                    size, caps, config.cycles, params));
   }
 
   std::cout << "\nIPC by particle count (" << size << "^3 grid, "

@@ -21,6 +21,7 @@ int main() {
   }();
 
   core::Study study(config);
+  util::ExecutionContext ctx;
   const arch::CostModel model(config.machine);
 
   benchutil::printBanner("Profile inspector — per-phase cost breakdown",
@@ -28,7 +29,8 @@ int main() {
   std::cout << "size " << size << "^3, core frequency " << ghz << " GHz\n";
 
   for (core::Algorithm algorithm : core::allAlgorithms()) {
-    const vis::KernelProfile& profile = study.characterize(algorithm, size);
+    const vis::KernelProfile& profile =
+        study.characterize(ctx, algorithm, size, config.params);
     const arch::KernelCost cost = model.kernelCost(profile, ghz);
 
     std::cout << '\n'

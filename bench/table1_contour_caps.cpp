@@ -19,8 +19,10 @@ int main() {
 
   core::StudyConfig config = benchutil::defaultStudyConfig();
   core::Study study(config);
+  util::ExecutionContext ctx;
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 128);
-  const auto sweep = study.capSweep(core::Algorithm::Contour, size);
+  const auto sweep = study.capSweep(ctx, core::Algorithm::Contour, size,
+                                   config.capsWatts, config.cycles);
 
   std::vector<double> tRatios;
   tRatios.reserve(sweep.size());

@@ -14,6 +14,7 @@ namespace pviz::benchutil {
 inline int runAllAlgorithmsTable(vis::Id size) {
   core::StudyConfig config = defaultStudyConfig();
   core::Study study(config);
+  util::ExecutionContext ctx;
 
   util::TextTable table;
   {
@@ -32,7 +33,8 @@ inline int runAllAlgorithmsTable(vis::Id size) {
   }
 
   for (core::Algorithm algorithm : core::allAlgorithms()) {
-    const auto sweep = study.capSweep(algorithm, size);
+    const auto sweep = study.capSweep(ctx, algorithm, size, config.capsWatts,
+                                      config.cycles);
     std::vector<double> tRatios, fRatios;
     for (const auto& r : sweep) {
       tRatios.push_back(r.ratios.tRatio);

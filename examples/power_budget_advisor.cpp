@@ -10,6 +10,7 @@
 #include "core/power_advisor.h"
 #include "core/study.h"
 #include "sim/cloverleaf.h"
+#include "util/exec_context.h"
 #include "util/table.h"
 
 int main() {
@@ -26,6 +27,7 @@ int main() {
   config.sizes = {24};
   config.params = core::AlgorithmParams::lightRendering();
   core::Study study(config);
+  util::ExecutionContext ctx;
 
   core::PowerAdvisor advisor;
   const double budget = 65.0;
@@ -38,7 +40,7 @@ int main() {
        {core::Algorithm::Contour, core::Algorithm::Threshold,
         core::Algorithm::VolumeRendering}) {
     const vis::KernelProfile vizKernel = core::scaleKernelWork(
-        study.characterize(algorithm, 24), 100.0);
+        study.characterize(ctx, algorithm, 24, config.params), 100.0);
     const core::Classification cls = advisor.classify(vizKernel);
     const core::BudgetPlan plan =
         advisor.planBudget(simKernel, vizKernel, budget);

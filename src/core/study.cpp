@@ -26,6 +26,13 @@ std::string cacheKey(Algorithm algorithm, vis::Id size,
   // phases), so it is part of the key; the execution backend is not
   // (outputs and profiles are backend-invariant).
   os << "|b" << p.blockCount << "g" << p.ghostLayers;
+  // The remaining profile-relevant knobs, fractions in exact hex form.
+  // The advection schedule is left out: schedules are bit-identical, so
+  // every schedule maps to the same entry.
+  os << "|s" << p.sampledCameraCount << "|f" << std::hexfloat
+     << p.thresholdLoFraction << ',' << p.thresholdHiFraction << ','
+     << p.clipRadiusFraction << ',' << p.isovolumeLoFraction << ','
+     << p.isovolumeHiFraction << ',' << p.stepLength;
   return os.str();
 }
 
@@ -54,16 +61,11 @@ const vis::UniformGrid& Study::dataset(vis::Id size) {
   return *it->second;
 }
 
-const vis::KernelProfile& Study::characterize(Algorithm algorithm,
-                                              vis::Id size) {
-  util::ExecutionContext ctx;
-  return characterize(ctx, algorithm, size);
-}
-
 const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
                                               Algorithm algorithm,
-                                              vis::Id size) {
-  const ProfileKey key{static_cast<int>(algorithm), size};
+                                              vis::Id size,
+                                              const AlgorithmParams& params) {
+  const std::string key = cacheKey(algorithm, size, params);
 
   // Claim the key or join a characterization already in flight.
   // profiles_ is a node-based map, so returned references stay valid
@@ -80,15 +82,13 @@ const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
 
   vis::KernelProfile profile;
   try {
-    // On-disk cache lookup.
-    const std::string diskKey = cacheKey(algorithm, size, config_.params);
     bool fromDisk = false;
     if (!config_.cachePath.empty()) {
       std::lock_guard diskLock(diskCacheMutex_);
       auto disk = loadProfileCache(config_.cachePath);
-      auto hit = disk.find(diskKey);
+      auto hit = disk.find(key);
       if (hit != disk.end()) {
-        PVIZ_LOG_INFO("profile cache hit: " << diskKey);
+        PVIZ_LOG_INFO("profile cache hit: " << key);
         profile = std::move(hit->second);
         fromDisk = true;
       }
@@ -97,11 +97,11 @@ const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
     if (!fromDisk) {
       PVIZ_LOG_INFO("characterizing " << algorithmName(algorithm) << " at "
                                       << size << "^3");
-      profile = runAlgorithm(ctx, algorithm, dataset(size), config_.params);
+      profile = runAlgorithm(ctx, algorithm, dataset(size), params);
       if (!config_.cachePath.empty()) {
         std::lock_guard diskLock(diskCacheMutex_);
         auto disk = loadProfileCache(config_.cachePath);
-        disk[diskKey] = profile;
+        disk[key] = profile;
         saveProfileCache(config_.cachePath, disk);
       }
     }
@@ -119,187 +119,37 @@ const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
   return inserted->second;
 }
 
-vis::KernelProfile Study::characterizeWith(util::ExecutionContext& ctx,
-                                           Algorithm algorithm, vis::Id size,
-                                           const AlgorithmParams& params) {
-  // No in-memory memo (it is keyed on the configured params), but the
-  // disk cache applies: its key covers every overridable parameter, so
-  // an override never collides with a configured-params entry.  The
-  // advection schedule is deliberately absent from the key — schedules
-  // are bit-identical, so every schedule maps to the same entry.
-  const std::string diskKey = cacheKey(algorithm, size, params);
-  if (!config_.cachePath.empty()) {
-    std::lock_guard diskLock(diskCacheMutex_);
-    auto disk = loadProfileCache(config_.cachePath);
-    auto hit = disk.find(diskKey);
-    if (hit != disk.end()) {
-      PVIZ_LOG_INFO("profile cache hit: " << diskKey);
-      return hit->second;
-    }
-  }
-  PVIZ_LOG_INFO("characterizing " << algorithmName(algorithm) << " at "
-                                  << size << "^3 (request overrides)");
-  vis::KernelProfile profile =
-      runAlgorithm(ctx, algorithm, dataset(size), params);
-  if (!config_.cachePath.empty()) {
-    std::lock_guard diskLock(diskCacheMutex_);
-    auto disk = loadProfileCache(config_.cachePath);
-    disk[diskKey] = profile;
-    saveProfileCache(config_.cachePath, disk);
-  }
-  return profile;
-}
-
-Measurement Study::measure(Algorithm algorithm, vis::Id size,
-                           double capWatts) {
-  util::ExecutionContext ctx;
-  return measure(ctx, algorithm, size, capWatts, config_.cycles);
-}
-
-Measurement Study::measure(util::ExecutionContext& ctx, Algorithm algorithm,
-                           vis::Id size, double capWatts) {
-  return measure(ctx, algorithm, size, capWatts, config_.cycles);
-}
-
-Measurement Study::measure(Algorithm algorithm, vis::Id size, double capWatts,
-                           int cycles) {
-  util::ExecutionContext ctx;
-  return measure(ctx, algorithm, size, capWatts, cycles);
-}
-
-Measurement Study::measure(util::ExecutionContext& ctx, Algorithm algorithm,
-                           vis::Id size, double capWatts, int cycles) {
-  PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
-  const vis::KernelProfile& once = characterize(ctx, algorithm, size);
-  return modelProfile(ctx, algorithm, once, capWatts, cycles);
-}
-
-Measurement Study::measureWith(util::ExecutionContext& ctx,
-                               Algorithm algorithm, vis::Id size,
-                               double capWatts, int cycles,
-                               const AlgorithmParams& params) {
-  PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
-  const vis::KernelProfile once =
-      characterizeWith(ctx, algorithm, size, params);
-  return modelProfile(ctx, algorithm, once, capWatts, cycles);
-}
-
-Measurement Study::modelProfile(util::ExecutionContext& ctx,
-                                Algorithm algorithm,
-                                const vis::KernelProfile& once,
-                                double capWatts, int cycles) {
-  vis::KernelProfile scaled = scaleKernelWork(once, config_.workScale);
-  if (cycles > 1) scaled = repeatKernel(scaled, cycles);
-  auto scope = ctx.phase("simulate/" + algorithmName(algorithm));
-  return simulator_.run(scaled, capWatts, &ctx.cancel());
-}
-
-std::vector<ConfigRecord> Study::capSweep(Algorithm algorithm, vis::Id size) {
-  util::ExecutionContext ctx;
-  return capSweep(ctx, algorithm, size, config_.capsWatts, config_.cycles);
-}
-
-std::vector<ConfigRecord> Study::capSweep(util::ExecutionContext& ctx,
-                                          Algorithm algorithm, vis::Id size) {
-  return capSweep(ctx, algorithm, size, config_.capsWatts, config_.cycles);
-}
-
-std::vector<ConfigRecord> Study::capSweep(Algorithm algorithm, vis::Id size,
-                                          const std::vector<double>& capsWatts,
-                                          int cycles) {
-  util::ExecutionContext ctx;
-  return capSweep(ctx, algorithm, size, capsWatts, cycles);
-}
-
 std::vector<ConfigRecord> Study::capSweep(util::ExecutionContext& ctx,
                                           Algorithm algorithm, vis::Id size,
                                           const std::vector<double>& capsWatts,
-                                          int cycles) {
+                                          int cycles,
+                                          const AlgorithmParams& params) {
   PVIZ_REQUIRE(!capsWatts.empty(), "cap sweep needs at least one cap");
+  PVIZ_REQUIRE(cycles >= 1, "cap sweep needs at least one cycle");
+  // Scaling and repeating are pure, so one modeled profile serves every
+  // cap; only the package model runs per cap.
+  vis::KernelProfile kernel = scaleKernelWork(
+      characterize(ctx, algorithm, size, params), config_.workScale);
+  if (cycles > 1) kernel = repeatKernel(kernel, cycles);
+
   std::vector<ConfigRecord> records;
   records.reserve(capsWatts.size());
-  Measurement baseline;
-  for (std::size_t i = 0; i < capsWatts.size(); ++i) {
-    const double cap = capsWatts[i];
+  for (const double cap : capsWatts) {
     ConfigRecord record;
     record.algorithm = algorithm;
     record.size = size;
     record.capWatts = cap;
-    record.measurement = measure(ctx, algorithm, size, cap, cycles);
-    if (i == 0) baseline = record.measurement;
-    record.ratios =
-        computeRatios(baseline, capsWatts.front(), record.measurement, cap);
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
-std::vector<ConfigRecord> Study::capSweepWith(
-    util::ExecutionContext& ctx, Algorithm algorithm, vis::Id size,
-    const std::vector<double>& capsWatts, int cycles,
-    const AlgorithmParams& params) {
-  PVIZ_REQUIRE(!capsWatts.empty(), "cap sweep needs at least one cap");
-  PVIZ_REQUIRE(cycles >= 1, "measure needs at least one cycle");
-  // Characterize once; the per-cap loop only touches the package model
-  // (characterizeWith has no in-memory memo, so calling measureWith per
-  // cap would re-run the kernel for every cap).
-  const vis::KernelProfile once =
-      characterizeWith(ctx, algorithm, size, params);
-  std::vector<ConfigRecord> records;
-  records.reserve(capsWatts.size());
-  Measurement baseline;
-  for (std::size_t i = 0; i < capsWatts.size(); ++i) {
-    const double cap = capsWatts[i];
-    ConfigRecord record;
-    record.algorithm = algorithm;
-    record.size = size;
-    record.capWatts = cap;
-    record.measurement = modelProfile(ctx, algorithm, once, cap, cycles);
-    if (i == 0) baseline = record.measurement;
-    record.ratios =
-        computeRatios(baseline, capsWatts.front(), record.measurement, cap);
-    records.push_back(std::move(record));
-  }
-  return records;
-}
-
-std::vector<ConfigRecord> Study::runPhase1() {
-  util::ExecutionContext ctx;
-  return runPhase1(ctx);
-}
-
-std::vector<ConfigRecord> Study::runPhase1(util::ExecutionContext& ctx) {
-  return capSweep(ctx, Algorithm::Contour, 128);
-}
-
-std::vector<ConfigRecord> Study::runPhase2() {
-  util::ExecutionContext ctx;
-  return runPhase2(ctx);
-}
-
-std::vector<ConfigRecord> Study::runPhase2(util::ExecutionContext& ctx) {
-  std::vector<ConfigRecord> all;
-  for (Algorithm algorithm : allAlgorithms()) {
-    auto sweep = capSweep(ctx, algorithm, 128);
-    all.insert(all.end(), sweep.begin(), sweep.end());
-  }
-  return all;
-}
-
-std::vector<ConfigRecord> Study::runPhase3() {
-  util::ExecutionContext ctx;
-  return runPhase3(ctx);
-}
-
-std::vector<ConfigRecord> Study::runPhase3(util::ExecutionContext& ctx) {
-  std::vector<ConfigRecord> all;
-  for (vis::Id size : config_.sizes) {
-    for (Algorithm algorithm : allAlgorithms()) {
-      auto sweep = capSweep(ctx, algorithm, size);
-      all.insert(all.end(), sweep.begin(), sweep.end());
+    {
+      auto scope = ctx.phase("simulate/" + algorithmName(algorithm));
+      record.measurement = simulator_.run(kernel, cap, &ctx.cancel());
     }
+    const Measurement& baseline =
+        records.empty() ? record.measurement : records.front().measurement;
+    record.ratios =
+        computeRatios(baseline, capsWatts.front(), record.measurement, cap);
+    records.push_back(std::move(record));
   }
-  return all;
+  return records;
 }
 
 // --- On-disk characterization cache -------------------------------------

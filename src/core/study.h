@@ -1,19 +1,19 @@
-// The study driver: the paper's three experimental phases over the
-// (power cap × algorithm × dataset size) matrix — 288 configurations at
-// full scope.
+// The study driver: the (power cap × algorithm × dataset size) matrix of
+// the paper's experiments — 288 configurations at full scope.  The
+// phases are scopes over it (powerviz_study --phase).
 //
-// For each (algorithm, size) the real kernel executes once on the host
-// to characterize its work (the expensive part); the nine power caps
-// are then evaluated on the package model.  Characterizations are
-// memoized in-process and optionally on disk so the per-table bench
-// binaries share them.
+// Two operations cover it.  characterize runs the real kernel once on
+// the host to measure its work (the expensive part); capSweep then
+// evaluates every power cap on the package model.  Characterizations are
+// memoized in one map keyed on (algorithm, size, profile-relevant
+// params) and optionally on disk under the same key, so the per-table
+// bench binaries and the service's override requests share them.
 #pragma once
 
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -58,83 +58,41 @@ struct ConfigRecord {
   Ratios ratios;  ///< against the default (first) cap of the same pair
 };
 
-/// The study driver.  Safe to share across threads: the memoization maps
-/// are lock-protected and a characterization in flight is joined by
-/// concurrent requests for the same (algorithm, size) rather than rerun
-/// (the service layer issues these from several request workers at once).
+/// The study driver.  Safe to share across threads: the memo is
+/// lock-protected and a characterization in flight is joined by
+/// concurrent requests for the same key rather than rerun (the service
+/// layer issues these from several request workers at once).
 class Study {
  public:
   explicit Study(StudyConfig config = {});
 
-  /// Characterize (run for real) `algorithm` on the `size`^3 dataset;
-  /// memoized.  The returned profile covers a single visualization cycle.
-  /// If the context's token cancels mid-kernel the characterization
-  /// throws util::CancelledError and leaves the memo and disk caches
-  /// untouched (a later uncancelled call re-runs from scratch).
+  /// Characterize (run for real) `algorithm` on the `size`^3 dataset
+  /// under `params`; memoized on the profile cache key, which covers
+  /// every parameter that changes the profile (not the execution backend
+  /// or the advection schedule, whose outputs are bit-identical).  The
+  /// returned profile covers a single visualization cycle and stays
+  /// valid for the Study's lifetime.  If the context's token cancels
+  /// mid-kernel the characterization throws util::CancelledError and
+  /// leaves the memo and disk caches untouched (a later uncancelled call
+  /// re-runs from scratch).
   const vis::KernelProfile& characterize(util::ExecutionContext& ctx,
-                                         Algorithm algorithm, vis::Id size);
-  const vis::KernelProfile& characterize(Algorithm algorithm, vis::Id size);
+                                         Algorithm algorithm, vis::Id size,
+                                         const AlgorithmParams& params);
 
-  /// Characterize with request-supplied parameter overrides (the service
-  /// layer's per-request advection knobs).  Shares the memoized dataset
-  /// and the on-disk profile cache (whose key covers the overridden
-  /// parameters), but NOT the in-memory memo — that map is keyed on
-  /// (algorithm, size) under the configured params only.  Returns by
-  /// value.
-  vis::KernelProfile characterizeWith(util::ExecutionContext& ctx,
-                                      Algorithm algorithm, vis::Id size,
-                                      const AlgorithmParams& params);
-
-  /// Evaluate one configuration (characterize + model under the cap,
-  /// repeated for the configured cycle count).
-  Measurement measure(util::ExecutionContext& ctx, Algorithm algorithm,
-                      vis::Id size, double capWatts);
-  Measurement measure(Algorithm algorithm, vis::Id size, double capWatts);
-  /// Same, overriding the configured cycle count (the service layer
-  /// evaluates per-request cycle counts against one shared Study).
-  Measurement measure(util::ExecutionContext& ctx, Algorithm algorithm,
-                      vis::Id size, double capWatts, int cycles);
-  Measurement measure(Algorithm algorithm, vis::Id size, double capWatts,
-                      int cycles);
-
-  /// Measure with request-supplied parameter overrides (see
-  /// characterizeWith — shares the disk cache, not the in-memory memo).
-  Measurement measureWith(util::ExecutionContext& ctx, Algorithm algorithm,
-                          vis::Id size, double capWatts, int cycles,
-                          const AlgorithmParams& params);
-
-  /// All caps for one (algorithm, size); ratios are against caps[0].
-  std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
-                                     Algorithm algorithm, vis::Id size);
-  std::vector<ConfigRecord> capSweep(Algorithm algorithm, vis::Id size);
-  /// Same, overriding the configured cap list and cycle count.
+  /// Characterize once, then evaluate every cap on the package model
+  /// (the profile work-scaled and repeated for `cycles`); ratios are
+  /// against capsWatts[0].
   std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
                                      Algorithm algorithm, vis::Id size,
                                      const std::vector<double>& capsWatts,
-                                     int cycles);
-  std::vector<ConfigRecord> capSweep(Algorithm algorithm, vis::Id size,
+                                     int cycles, const AlgorithmParams& params);
+  /// Same, under the configured params.
+  std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
+                                     Algorithm algorithm, vis::Id size,
                                      const std::vector<double>& capsWatts,
-                                     int cycles);
-  /// Cap sweep with request-supplied parameter overrides.  The kernel
-  /// characterizes ONCE under `params` (characterizeWith), then every
-  /// cap is evaluated on the package model — a request with nine caps
-  /// costs one kernel run, exactly like the memoized configured-params
-  /// path.
-  std::vector<ConfigRecord> capSweepWith(util::ExecutionContext& ctx,
-                                         Algorithm algorithm, vis::Id size,
-                                         const std::vector<double>& capsWatts,
-                                         int cycles,
-                                         const AlgorithmParams& params);
-
-  /// Phase 1: contour at 128^3 across all caps (9 tests).
-  std::vector<ConfigRecord> runPhase1(util::ExecutionContext& ctx);
-  std::vector<ConfigRecord> runPhase1();
-  /// Phase 2: all algorithms at 128^3 across all caps (72 tests).
-  std::vector<ConfigRecord> runPhase2(util::ExecutionContext& ctx);
-  std::vector<ConfigRecord> runPhase2();
-  /// Phase 3: the full matrix (288 tests at full scope).
-  std::vector<ConfigRecord> runPhase3(util::ExecutionContext& ctx);
-  std::vector<ConfigRecord> runPhase3();
+                                     int cycles) {
+    return capSweep(ctx, algorithm, size, capsWatts, cycles, config_.params);
+  }
 
   /// The dataset used for characterization at `size` (memoized).
   const vis::UniformGrid& dataset(vis::Id size);
@@ -142,23 +100,14 @@ class Study {
   const StudyConfig& config() const { return config_; }
 
  private:
-  using ProfileKey = std::pair<int, vis::Id>;
-
-  /// Model one characterized cycle profile under a cap: work-scale,
-  /// repeat for `cycles`, simulate.  The shared tail of measure and
-  /// measureWith.
-  Measurement modelProfile(util::ExecutionContext& ctx, Algorithm algorithm,
-                           const vis::KernelProfile& once, double capWatts,
-                           int cycles);
-
   StudyConfig config_;
   ExecutionSimulator simulator_;
   std::mutex datasetMutex_;  ///< guards datasets_ (incl. generation)
   std::map<vis::Id, std::unique_ptr<vis::UniformGrid>> datasets_;
   std::mutex profileMutex_;  ///< guards profiles_ and inFlight_
   std::condition_variable profileReady_;
-  std::map<ProfileKey, vis::KernelProfile> profiles_;
-  std::set<ProfileKey> inFlight_;  ///< keys being characterized right now
+  std::map<std::string, vis::KernelProfile> profiles_;
+  std::set<std::string> inFlight_;  ///< keys being characterized right now
   std::mutex diskCacheMutex_;  ///< serializes the cache read-modify-write
 };
 

@@ -46,6 +46,7 @@ std::int64_t causalOffset(const std::vector<telemetry::TraceSpan>& coordSpans,
 
   std::int64_t lo = std::numeric_limits<std::int64_t>::min();
   std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  bool paired = false;
   for (auto& [traceId, reqs] : requests) {
     auto it = dispatch.find(traceId);
     if (it == dispatch.end()) continue;
@@ -53,6 +54,7 @@ std::int64_t causalOffset(const std::vector<telemetry::TraceSpan>& coordSpans,
     sortByStart(reqs);
     sortByStart(disp);
     const std::size_t pairs = std::min(reqs.size(), disp.size());
+    paired = paired || pairs > 0;
     for (std::size_t i = 0; i < pairs; ++i) {
       const telemetry::TraceSpan& r = *reqs[i];
       const telemetry::TraceSpan& d = *disp[i];
@@ -63,6 +65,9 @@ std::int64_t causalOffset(const std::vector<telemetry::TraceSpan>& coordSpans,
     }
   }
 
+  // No pair narrowed the interval: keep the worker's own estimate (the
+  // sentinels' hi - lo below would overflow).
+  if (!paired) return fragment.clockOffsetUs;
   if (lo > hi) {
     // The pairs disagree (a dropped retry span got mispaired); fall
     // back to splitting the difference rather than trusting either.

@@ -74,19 +74,12 @@ ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
   return Outcome{std::move(result), false};
 }
 
-vis::KernelProfile ServiceEngine::profileFor(util::ExecutionContext& ctx,
-                                             const Request& request) {
+const vis::KernelProfile& ServiceEngine::profileFor(
+    util::ExecutionContext& ctx, const Request& request) {
   const bool advectOverrides = request.advectSeeds > 0 ||
                                request.advectSteps > 0 ||
                                !request.advectMode.empty() ||
                                !request.advectSchedule.empty();
-  // Decomposition overrides are valid on ANY algorithm (every kernel
-  // runs multi-block, or on the stitched grid when its traversal is
-  // global), unlike advect_* which only makes sense for advection.
-  const bool blockOverrides = request.blocks > 0 || request.ghost > 0;
-  if (!advectOverrides && !blockOverrides) {
-    return study_.characterize(ctx, request.algorithm, request.size);
-  }
   if (advectOverrides) {
     PVIZ_REQUIRE(request.algorithm == core::Algorithm::ParticleAdvection,
                  "advect_* overrides are only valid with algorithm=advection");
@@ -98,9 +91,12 @@ vis::KernelProfile ServiceEngine::profileFor(util::ExecutionContext& ctx,
   if (!request.advectSchedule.empty()) {
     params.advectionSchedule = request.advectSchedule;
   }
+  // Decomposition overrides are valid on ANY algorithm (every kernel
+  // runs multi-block, or on the stitched grid when its traversal is
+  // global), unlike advect_* which only makes sense for advection.
   if (request.blocks > 0) params.blockCount = request.blocks;
   if (request.ghost > 0) params.ghostLayers = request.ghost;
-  return study_.characterizeWith(ctx, request.algorithm, request.size, params);
+  return study_.characterize(ctx, request.algorithm, request.size, params);
 }
 
 Json ServiceEngine::execute(util::ExecutionContext& ctx,
@@ -171,18 +167,14 @@ Json ServiceEngine::runStudySlice(util::ExecutionContext& ctx,
                                   const Request& request) {
   Json records = Json::array();
   std::size_t count = 0;
-  const bool blockOverrides = request.blocks > 0 || request.ghost > 0;
   core::AlgorithmParams params = config_.study.params;
   if (request.blocks > 0) params.blockCount = request.blocks;
   if (request.ghost > 0) params.ghostLayers = request.ghost;
   for (vis::Id size : request.sizes) {
     for (core::Algorithm algorithm : request.algorithms) {
       for (core::ConfigRecord& record :
-           blockOverrides
-               ? study_.capSweepWith(ctx, algorithm, size, request.capsWatts,
-                                     request.cycles, params)
-               : study_.capSweep(ctx, algorithm, size, request.capsWatts,
-                                 request.cycles)) {
+           study_.capSweep(ctx, algorithm, size, request.capsWatts,
+                           request.cycles, params)) {
         // Only this uncached path reaches the attributor: a cache hit
         // re-serves these joules without running anything.
         if (energy_ != nullptr && ctx.traceId() != 0) {

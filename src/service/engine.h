@@ -86,11 +86,12 @@ class ServiceEngine {
   Json execute(util::ExecutionContext& ctx, const Request& request);
   Json runStudySlice(util::ExecutionContext& ctx, const Request& request);
   const vis::KernelProfile& simProfile(vis::Id size, int steps);
-  /// Single-kernel profile: the memoized study characterization, or —
-  /// when the request carries advect_* overrides — a characterization
-  /// under request-derived parameters (memoized only on disk).
-  vis::KernelProfile profileFor(util::ExecutionContext& ctx,
-                                const Request& request);
+  /// Single-kernel profile: the study characterization under the
+  /// configured params with the request's advect_* / blocks / ghost
+  /// overrides applied, memoized in the Study (and on disk) like any
+  /// other.
+  const vis::KernelProfile& profileFor(util::ExecutionContext& ctx,
+                                       const Request& request);
 
   EngineConfig config_;
   core::Study study_;

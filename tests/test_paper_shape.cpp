@@ -17,6 +17,7 @@
 #include <map>
 
 #include "core/study.h"
+#include "util/exec_context.h"
 
 namespace pviz::core {
 namespace {
@@ -40,11 +41,28 @@ class PaperShape : public ::testing::Test {
     return instance;
   }
 
+  static util::ExecutionContext& ctx() {
+    static util::ExecutionContext instance;
+    return instance;
+  }
+
   static const std::vector<ConfigRecord>& sweep(Algorithm algorithm) {
     static std::map<int, std::vector<ConfigRecord>> cache;
     auto [it, fresh] = cache.try_emplace(static_cast<int>(algorithm));
-    if (fresh) it->second = study().capSweep(algorithm, 48);
+    if (fresh) {
+      const StudyConfig& config = study().config();
+      it->second = study().capSweep(ctx(), algorithm, 48, config.capsWatts,
+                                    config.cycles);
+    }
     return it->second;
+  }
+
+  /// IPC at the default cap: a one-cap sweep.
+  static double ipcAtTdp(Algorithm algorithm, vis::Id size) {
+    return study()
+        .capSweep(ctx(), algorithm, size, {120.0}, study().config().cycles)
+        .front()
+        .measurement.ipc;
   }
 
   static const Measurement& at(Algorithm algorithm, double cap) {
@@ -155,19 +173,16 @@ TEST_F(PaperShape, MeasuredIpcFallsUnderDeepCapsViaRefCycles) {
 }
 
 TEST_F(PaperShape, AdvectionIpcIsSizeInvariantCellCentricIpcGrows) {
-  Study& s = study();
-  const double pa16 =
-      s.measure(Algorithm::ParticleAdvection, 16, 120.0).ipc;
-  const double pa48 =
-      s.measure(Algorithm::ParticleAdvection, 48, 120.0).ipc;
+  const double pa16 = ipcAtTdp(Algorithm::ParticleAdvection, 16);
+  const double pa48 = ipcAtTdp(Algorithm::ParticleAdvection, 48);
   EXPECT_NEAR(pa16, pa48, 0.35 * std::max(pa16, pa48));  // Fig. 6
 
-  const double contour16 = s.measure(Algorithm::Contour, 16, 120.0).ipc;
-  const double contour48 = s.measure(Algorithm::Contour, 48, 120.0).ipc;
+  const double contour16 = ipcAtTdp(Algorithm::Contour, 16);
+  const double contour48 = ipcAtTdp(Algorithm::Contour, 48);
   EXPECT_GT(contour48, contour16 * 1.1);  // Fig. 4 trend
 
-  const double slice16 = s.measure(Algorithm::Slice, 16, 120.0).ipc;
-  const double slice48 = s.measure(Algorithm::Slice, 48, 120.0).ipc;
+  const double slice16 = ipcAtTdp(Algorithm::Slice, 16);
+  const double slice48 = ipcAtTdp(Algorithm::Slice, 48);
   EXPECT_GT(slice48, slice16);  // Fig. 4
 }
 

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <thread>
 
 #include "core/study.h"
+#include "util/exec_context.h"
 
 namespace pviz::core {
 namespace {
@@ -39,17 +41,125 @@ TEST(Study, DatasetIsMemoized) {
   EXPECT_EQ(a.numCells(), 8 * 8 * 8);
 }
 
+// Every field of two measurements, compared bit for bit.
+void expectSameMeasurement(const Measurement& a, const Measurement& b) {
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.energyJoules, b.energyJoules);
+  EXPECT_EQ(a.averageWatts, b.averageWatts);
+  EXPECT_EQ(a.meteredWatts, b.meteredWatts);
+  EXPECT_EQ(a.effectiveGhz, b.effectiveGhz);
+  EXPECT_EQ(a.ipc, b.ipc);
+  EXPECT_EQ(a.llcMissRate, b.llcMissRate);
+  EXPECT_EQ(a.elementsPerSecond, b.elementsPerSecond);
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (std::size_t i = 0; i < a.phases.size(); ++i) {
+    EXPECT_EQ(a.phases[i].name, b.phases[i].name);
+    EXPECT_EQ(a.phases[i].seconds, b.phases[i].seconds);
+    EXPECT_EQ(a.phases[i].averageWatts, b.phases[i].averageWatts);
+    EXPECT_EQ(a.phases[i].averageGhz, b.phases[i].averageGhz);
+    EXPECT_EQ(a.phases[i].instructions, b.phases[i].instructions);
+    EXPECT_EQ(a.phases[i].llcMisses, b.phases[i].llcMisses);
+    EXPECT_EQ(a.phases[i].llcReferences, b.phases[i].llcReferences);
+  }
+  ASSERT_EQ(a.powerTrace.size(), b.powerTrace.size());
+  for (std::size_t i = 0; i < a.powerTrace.size(); ++i) {
+    EXPECT_EQ(a.powerTrace[i].timeSeconds, b.powerTrace[i].timeSeconds);
+    EXPECT_EQ(a.powerTrace[i].watts, b.powerTrace[i].watts);
+  }
+  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+    EXPECT_EQ(a.timeline[i].timeSeconds, b.timeline[i].timeSeconds);
+    EXPECT_EQ(a.timeline[i].watts, b.timeline[i].watts);
+    EXPECT_EQ(a.timeline[i].joules, b.timeline[i].joules);
+    EXPECT_EQ(a.timeline[i].phase, b.timeline[i].phase);
+  }
+}
+
 TEST(Study, CharacterizationIsMemoized) {
   Study study(smallConfig());
-  const vis::KernelProfile& a = study.characterize(Algorithm::Threshold, 8);
-  const vis::KernelProfile& b = study.characterize(Algorithm::Threshold, 8);
+  util::ExecutionContext ctx;
+  const AlgorithmParams& params = study.config().params;
+  const vis::KernelProfile& a =
+      study.characterize(ctx, Algorithm::Threshold, 8, params);
+  const vis::KernelProfile& b =
+      study.characterize(ctx, Algorithm::Threshold, 8, params);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.kernel, "threshold");
 }
 
+TEST(Study, OverrideCharacterizationIsMemoized) {
+  Study study(smallConfig());
+  util::ExecutionContext ctx;
+  AlgorithmParams blocks = study.config().params;
+  blocks.blockCount += 1;  // 2 unless POWERVIZ_BLOCKS moved the default
+  const vis::KernelProfile& a =
+      study.characterize(ctx, Algorithm::Contour, 8, blocks);
+  const vis::KernelProfile& b =
+      study.characterize(ctx, Algorithm::Contour, 8, blocks);
+  EXPECT_EQ(&a, &b);
+  EXPECT_NE(&a, &study.characterize(ctx, Algorithm::Contour, 8,
+                                    study.config().params));
+}
+
+// A memo hit returns before any kernel runs, so it never polls the
+// cancel token: under a cancelled context a hit succeeds and a miss
+// throws.
+TEST(Study, MemoIsKeyedOnTheProfileRelevantParams) {
+  Study study(smallConfig());
+  const AlgorithmParams& params = study.config().params;
+  util::ExecutionContext ctx;
+  util::ExecutionContext cancelled;
+  cancelled.cancel().cancel();
+
+  // The configured params share one entry with the cap-sweep path.
+  study.capSweep(ctx, Algorithm::Contour, 8, {120.0}, 1);
+  EXPECT_NO_THROW(study.characterize(cancelled, Algorithm::Contour, 8, params));
+
+  // Schedules are bit-identical, so they share an entry...
+  AlgorithmParams fixed = params;
+  fixed.advectionSchedule = "static";
+  AlgorithmParams stolen = params;
+  stolen.advectionSchedule = "worksteal";
+  const vis::KernelProfile& a =
+      study.characterize(ctx, Algorithm::ParticleAdvection, 8, fixed);
+  EXPECT_EQ(&a, &study.characterize(cancelled, Algorithm::ParticleAdvection,
+                                    8, stolen));
+
+  // ...while a decomposition or a threshold band changes the profile and
+  // must not.
+  AlgorithmParams blocks = params;
+  blocks.blockCount += 1;
+  EXPECT_THROW(study.characterize(cancelled, Algorithm::Contour, 8, blocks),
+               util::CancelledError);
+  AlgorithmParams band = params;
+  band.thresholdLoFraction = 0.5;
+  study.characterize(ctx, Algorithm::Threshold, 8, params);
+  EXPECT_THROW(study.characterize(cancelled, Algorithm::Threshold, 8, band),
+               util::CancelledError);
+}
+
+TEST(Study, ConcurrentOverrideRequestsShareOneCharacterization) {
+  Study study(smallConfig());
+  AlgorithmParams blocks = study.config().params;
+  blocks.blockCount += 1;  // 2 unless POWERVIZ_BLOCKS moved the default
+  const vis::KernelProfile* seen[4] = {};
+  std::vector<std::thread> threads;
+  for (auto& slot : seen) {
+    threads.emplace_back([&study, &blocks, &slot] {
+      util::ExecutionContext ctx;
+      slot = &study.characterize(ctx, Algorithm::Contour, 12, blocks);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const vis::KernelProfile* p : seen) EXPECT_EQ(p, seen[0]);
+}
+
 TEST(Study, CapSweepRatiosAreBaselinedAtTheDefaultCap) {
   Study study(smallConfig());
-  const auto sweep = study.capSweep(Algorithm::Threshold, 8);
+  util::ExecutionContext ctx;
+  const auto sweep = study.capSweep(ctx, Algorithm::Threshold, 8,
+                                    study.config().capsWatts,
+                                    study.config().cycles);
   ASSERT_EQ(sweep.size(), 3u);
   EXPECT_DOUBLE_EQ(sweep[0].ratios.pRatio, 1.0);
   EXPECT_DOUBLE_EQ(sweep[0].ratios.tRatio, 1.0);
@@ -64,24 +174,39 @@ TEST(Study, CapSweepRatiosAreBaselinedAtTheDefaultCap) {
 }
 
 TEST(Study, CyclesMultiplyMeasuredTime) {
-  StudyConfig one = smallConfig();
-  one.cycles = 1;
-  StudyConfig four = smallConfig();
-  four.cycles = 4;
-  Study a(one), b(four);
-  const double ta = a.measure(Algorithm::Contour, 8, 120.0).seconds;
-  const double tb = b.measure(Algorithm::Contour, 8, 120.0).seconds;
+  Study study(smallConfig());
+  util::ExecutionContext ctx;
+  const double ta =
+      study.capSweep(ctx, Algorithm::Contour, 8, {120.0}, 1)[0]
+          .measurement.seconds;
+  const double tb =
+      study.capSweep(ctx, Algorithm::Contour, 8, {120.0}, 4)[0]
+          .measurement.seconds;
   EXPECT_NEAR(tb / ta, 4.0, 0.2);
 }
 
-TEST(Study, Phase1IsTheContourSweep) {
-  StudyConfig config = smallConfig();
-  config.sizes = {128};  // phase 1 runs at 128^3 by definition
-  // Keep this test fast: shrink to an 8^3-sized "128" stand-in is not
-  // possible (the phase is defined at 128^3), so just check the record
-  // structure via capSweep on a small size instead.
+TEST(Study, OneCapSweepEqualsTheFullSweepsFirstRecord) {
   Study study(smallConfig());
-  const auto sweep = study.capSweep(Algorithm::Contour, 12);
+  util::ExecutionContext ctx;
+  const StudyConfig& config = study.config();
+  const auto full = study.capSweep(ctx, Algorithm::Contour, 8,
+                                   config.capsWatts, config.cycles);
+  const auto one = study.capSweep(ctx, Algorithm::Contour, 8,
+                                  {config.capsWatts.front()}, config.cycles);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].capWatts, full[0].capWatts);
+  expectSameMeasurement(one[0].measurement, full[0].measurement);
+  EXPECT_EQ(one[0].ratios.pRatio, full[0].ratios.pRatio);
+  EXPECT_EQ(one[0].ratios.tRatio, full[0].ratios.tRatio);
+  EXPECT_EQ(one[0].ratios.fRatio, full[0].ratios.fRatio);
+}
+
+TEST(Study, CapSweepHasOneRecordPerCap) {
+  Study study(smallConfig());
+  util::ExecutionContext ctx;
+  const auto sweep = study.capSweep(ctx, Algorithm::Contour, 12,
+                                    study.config().capsWatts,
+                                    study.config().cycles);
   EXPECT_EQ(sweep.size(), study.config().capsWatts.size());
 }
 
@@ -146,13 +271,15 @@ TEST(ProfileCache, StudyUsesTheCacheAcrossInstances) {
   std::remove(path.c_str());
   StudyConfig config = smallConfig();
   config.cachePath = path;
+  util::ExecutionContext ctx;
   {
     Study study(config);
-    study.characterize(Algorithm::Threshold, 8);
+    study.characterize(ctx, Algorithm::Threshold, 8, config.params);
   }
   // A fresh study loads the characterization from disk (same key).
   Study study2(config);
-  const vis::KernelProfile& p = study2.characterize(Algorithm::Threshold, 8);
+  const vis::KernelProfile& p =
+      study2.characterize(ctx, Algorithm::Threshold, 8, config.params);
   EXPECT_EQ(p.kernel, "threshold");
   EXPECT_EQ(p.elements, 8 * 8 * 8);
   std::remove(path.c_str());

@@ -195,7 +195,8 @@ int main(int argc, char** argv) {
   std::vector<core::ConfigRecord> records;
   for (vis::Id size : config.sizes) {
     for (core::Algorithm algorithm : algorithms) {
-      auto sweep = study.capSweep(ctx, algorithm, size);
+      auto sweep =
+          study.capSweep(ctx, algorithm, size, config.capsWatts, config.cycles);
       records.insert(records.end(), sweep.begin(), sweep.end());
     }
   }
