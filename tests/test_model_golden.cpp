@@ -3,7 +3,10 @@
 // Pins FNV-1a-64 over every field the study reports for the cap sweep of
 // each algorithm at n = 32 and 57 (the paper's default caps 120..40 W,
 // 10 cycles, work scale 100), over one multi-block override sweep, and
-// over PowerAdvisor::classify / planBudget for every algorithm.  The
+// over PowerAdvisor::classify / planBudget for every algorithm.  A second
+// pair pins the idealized governor: every Measurement field of each
+// algorithm's work-scaled profile at every default cap, and classify /
+// planBudget at non-default caps and budgets (45..120 W).  The
 // kernel profiles come from real kernel runs, so these digests also
 // move if a kernel's operation counts change; the kernel output
 // digests in test_kernel_golden.cpp separate the two.
@@ -89,6 +92,8 @@ struct ModelGolden {
   const char* study;
   const char* overrides;
   const char* advisor;
+  const char* ideal;
+  const char* advisor2;
 };
 
 class ModelGoldenTest : public ::testing::TestWithParam<ModelGolden> {};
@@ -142,12 +147,58 @@ TEST_P(ModelGoldenTest, SweepOverrideAndAdvisorDigestsMatch) {
   EXPECT_EQ(advice.hex(), golden.advisor);
 }
 
+TEST_P(ModelGoldenTest, IdealGovernorAndWideAdvisorDigestsMatch) {
+  const ModelGolden& golden = GetParam();
+  const vis::Id n = golden.cells;
+  const StudyConfig config = goldenConfig();
+  Study study(config);
+  util::ExecutionContext ctx;
+  ExecutionSimulator ideal(
+      config.machine, {.governorQuantumSeconds = 0.005,
+                       .meterIntervalSeconds = 0.1,
+                       .idealGovernor = true});
+  PowerAdvisor advisor(config.machine);
+  sim::CloverLeaf clover(n);
+  clover.run(5);
+  const vis::KernelProfile simKernel =
+      scaleKernelWork(clover.takeProfile(), config.workScale);
+
+  Fnv1a64 measurements;
+  Fnv1a64 advice;
+  for (Algorithm algorithm : allAlgorithms()) {
+    const vis::KernelProfile vizKernel = scaleKernelWork(
+        study.characterize(ctx, algorithm, n, config.params), config.workScale);
+    for (double cap : config.capsWatts) {
+      addMeasurement(measurements, ideal.run(vizKernel, cap));
+    }
+    const Classification cls = advisor.classify(vizKernel, {120, 95, 70, 45});
+    advice.addValue(cls.powerOpportunity);
+    for (double v : {cls.kneeCapWatts, cls.drawAtTdpWatts,
+                     cls.slowdownAtMinCap, cls.ipcAtTdp}) {
+      advice.addValue(v);
+    }
+    for (double budget : {45.0, 70.0, 100.0, 120.0}) {
+      const BudgetPlan plan = advisor.planBudget(simKernel, vizKernel, budget);
+      for (double v :
+           {plan.simCapWatts, plan.vizCapWatts, plan.predictedSeconds,
+            plan.uniformSeconds, plan.predictedAverageWatts,
+            plan.speedupVsUniform}) {
+        advice.addValue(v);
+      }
+    }
+  }
+  EXPECT_EQ(measurements.hex(), golden.ideal);
+  EXPECT_EQ(advice.hex(), golden.advisor2);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     CloverField, ModelGoldenTest,
     ::testing::Values(ModelGolden{32, "e897f249a3d3ad73", "cc7228b12a2c357b",
-                                  "de3bb57d69e28e1c"},
+                                  "de3bb57d69e28e1c", "a6607268c75c2255",
+                                  "9611f8c2b43206c3"},
                       ModelGolden{57, "2eba5e40f5d429c3", "0eb5b2647cccf847",
-                                  "01f85962e8e67d20"}),
+                                  "01f85962e8e67d20", "57198ee718f48fd6",
+                                  "5c7e2921ebfbf758"}),
     [](const ::testing::TestParamInfo<ModelGolden>& param) {
       return "n" + std::to_string(param.param.cells);
     });
