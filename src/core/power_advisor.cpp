@@ -1,6 +1,7 @@
 #include "core/power_advisor.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace pviz::core {
 
@@ -8,8 +9,9 @@ PowerAdvisor::PowerAdvisor(arch::MachineDescription machine,
                            SimulatorOptions options)
     : simulator_(std::move(machine), options) {}
 
-Classification PowerAdvisor::classify(const vis::KernelProfile& kernel,
-                                      const std::vector<double>& capsWatts) {
+Classification PowerAdvisor::classify(
+    const vis::KernelProfile& kernel,
+    const std::vector<double>& capsWatts) const {
   PVIZ_REQUIRE(!capsWatts.empty(), "classification needs at least one cap");
   Classification result;
 
@@ -42,7 +44,7 @@ Classification PowerAdvisor::classify(const vis::KernelProfile& kernel,
 
 BudgetPlan PowerAdvisor::planBudget(const vis::KernelProfile& simKernel,
                                     const vis::KernelProfile& vizKernel,
-                                    double averageBudgetWatts) {
+                                    double averageBudgetWatts) const {
   PVIZ_REQUIRE(averageBudgetWatts > 0.0, "budget must be positive");
   const arch::MachineDescription& m = simulator_.machine();
   const double budget =
@@ -59,8 +61,9 @@ BudgetPlan PowerAdvisor::planBudget(const vis::KernelProfile& simKernel,
   // time-weighted average stays in budget.  The uniform plan
   // (vizCap = simCap = budget) is in the candidate set, so the advised
   // plan can never be worse than naive.
-  const Classification vizClass = classify(vizKernel);
-  const double kneeCap = std::max(vizClass.kneeCapWatts, m.minCapWatts);
+  plan.classification = classify(vizKernel);
+  const double kneeCap =
+      std::max(plan.classification.kneeCapWatts, m.minCapWatts);
 
   plan.simCapWatts = budget;
   plan.vizCapWatts = budget;
@@ -69,11 +72,19 @@ BudgetPlan PowerAdvisor::planBudget(const vis::KernelProfile& simKernel,
       (simUniform.energyJoules + vizUniform.energyJoules) /
       plan.uniformSeconds;
 
+  // Every viz cap walks the same simulation caps (budget + 2.5 k), so
+  // each step is modeled once, filled lazily because the walk stops at
+  // the first over-budget cap.  Step 0 is the uniform run.
+  std::vector<Measurement> simRuns{simUniform};
   for (double vizCap = kneeCap; vizCap <= budget + 1e-9; vizCap += 2.5) {
     const Measurement vizRun = simulator_.run(vizKernel, vizCap);
+    std::size_t step = 0;
     for (double simCap = budget; simCap <= m.tdpWatts + 1e-9;
-         simCap += 2.5) {
-      const Measurement simRun = simulator_.run(simKernel, simCap);
+         simCap += 2.5, ++step) {
+      if (step == simRuns.size()) {
+        simRuns.push_back(simulator_.run(simKernel, simCap));
+      }
+      const Measurement& simRun = simRuns[step];
       const double totalTime = simRun.seconds + vizRun.seconds;
       const double avgWatts =
           (simRun.energyJoules + vizRun.energyJoules) / totalTime;

@@ -14,6 +14,11 @@
 // by construction) and gives the simulation whatever average headroom
 // that frees — mirroring the paper's "allocate most of the power to the
 // power-hungry simulation, leaving minimal power to the visualization".
+//
+// Cost: under the idealized governor each simulator run solves the
+// frequency once per phase, so a run costs one bisection per phase plus
+// the quantum bookkeeping.  classify and planBudget are const and touch
+// no shared state.
 #pragma once
 
 #include <string>
@@ -32,6 +37,7 @@ struct Classification {
 };
 
 struct BudgetPlan {
+  Classification classification;  ///< of the visualization kernel
   double simCapWatts = 0.0;
   double vizCapWatts = 0.0;
   double predictedSeconds = 0.0;       ///< advised plan, per cycle
@@ -56,13 +62,16 @@ class PowerAdvisor {
   /// (default-first ordering, e.g. the study's 120..40).
   Classification classify(const vis::KernelProfile& kernel,
                           const std::vector<double>& capsWatts = {
-                              120, 110, 100, 90, 80, 70, 60, 50, 40});
+                              120, 110, 100, 90, 80, 70, 60, 50, 40}) const;
 
   /// Split an average power budget between a simulation kernel and a
-  /// visualization kernel that alternate on the package.
+  /// visualization kernel that alternate on the package.  The plan
+  /// carries the classify(vizKernel) it derives the viz knee from.  The
+  /// search models each candidate simulation cap once, however many viz
+  /// caps pair with it.
   BudgetPlan planBudget(const vis::KernelProfile& simKernel,
                         const vis::KernelProfile& vizKernel,
-                        double averageBudgetWatts);
+                        double averageBudgetWatts) const;
 
   double opportunityCapWatts = 60.0;
   double slowdownThreshold = 1.1;

@@ -81,7 +81,10 @@ class Study {
 
   /// Characterize once, then evaluate every cap on the package model
   /// (the profile work-scaled and repeated for `cycles`); ratios are
-  /// against capsWatts[0].
+  /// against capsWatts[0].  The caps run in parallel through
+  /// `ctx.backend()`, one cap per chunk, into slot-indexed records, so
+  /// the result is bit-identical on every backend and pool size; a
+  /// cancelled context throws util::CancelledError.
   std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,
                                      Algorithm algorithm, vis::Id size,
                                      const std::vector<double>& capsWatts,

@@ -143,8 +143,7 @@ Json ServiceEngine::execute(util::ExecutionContext& ctx,
       out.set("algorithm", core::algorithmToken(request.algorithm));
       out.set("size", request.size);
       out.set("budget_watts", request.budgetWatts);
-      out.set("classification",
-              classificationToJson(advisor_.classify(vizKernel)));
+      out.set("classification", classificationToJson(plan.classification));
       return out;
     }
 

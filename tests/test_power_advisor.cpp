@@ -88,6 +88,23 @@ TEST(PowerAdvisor, AdvisedPlanBeatsUniformUnderATightBudget) {
   EXPECT_GT(plan.simCapWatts, 65.0);
 }
 
+// The engine's budget reply takes its classification from the plan, so
+// the plan must carry exactly what classify computes.
+TEST(PowerAdvisor, BudgetPlanCarriesTheVizClassification) {
+  const PowerAdvisor advisor;
+  const Classification expected = advisor.classify(coolKernel());
+  for (double budget : {45.0, 70.0, 120.0}) {
+    SCOPED_TRACE(budget);
+    const Classification got =
+        advisor.planBudget(hotKernel(), coolKernel(), budget).classification;
+    EXPECT_EQ(got.powerOpportunity, expected.powerOpportunity);
+    EXPECT_EQ(got.kneeCapWatts, expected.kneeCapWatts);
+    EXPECT_EQ(got.drawAtTdpWatts, expected.drawAtTdpWatts);
+    EXPECT_EQ(got.slowdownAtMinCap, expected.slowdownAtMinCap);
+    EXPECT_EQ(got.ipcAtTdp, expected.ipcAtTdp);
+  }
+}
+
 TEST(PowerAdvisor, GenerousBudgetConvergesToUncapped) {
   PowerAdvisor advisor;
   const BudgetPlan plan =

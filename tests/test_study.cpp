@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/study.h"
+#include "util/backend.h"
 #include "util/exec_context.h"
+#include "util/thread_pool.h"
 
 namespace pviz::core {
 namespace {
@@ -73,6 +77,34 @@ void expectSameMeasurement(const Measurement& a, const Measurement& b) {
     EXPECT_EQ(a.timeline[i].joules, b.timeline[i].joules);
     EXPECT_EQ(a.timeline[i].phase, b.timeline[i].phase);
   }
+}
+
+void expectSameRecords(const std::vector<ConfigRecord>& a,
+                       const std::vector<ConfigRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(a[i].algorithm, b[i].algorithm);
+    EXPECT_EQ(a[i].size, b[i].size);
+    EXPECT_EQ(a[i].capWatts, b[i].capWatts);
+    expectSameMeasurement(a[i].measurement, b[i].measurement);
+    EXPECT_EQ(a[i].ratios.pRatio, b[i].ratios.pRatio);
+    EXPECT_EQ(a[i].ratios.tRatio, b[i].ratios.tRatio);
+    EXPECT_EQ(a[i].ratios.fRatio, b[i].ratios.fRatio);
+  }
+}
+
+const std::vector<double> kPaperCaps = {120, 110, 100, 90, 80,
+                                        70,  60,  50,  40};
+
+/// capSweep of contour at 8^3 over the paper's caps, on an explicit pool
+/// of `workers` participants and an explicit backend.
+std::vector<ConfigRecord> sweepOn(Study& study, unsigned workers,
+                                  const exec::Backend& backend) {
+  util::ThreadPool pool(workers);
+  util::ExecutionContext ctx(pool);
+  ctx.setBackend(backend);
+  return study.capSweep(ctx, Algorithm::Contour, 8, kPaperCaps, 2);
 }
 
 TEST(Study, CharacterizationIsMemoized) {
@@ -199,6 +231,55 @@ TEST(Study, OneCapSweepEqualsTheFullSweepsFirstRecord) {
   EXPECT_EQ(one[0].ratios.pRatio, full[0].ratios.pRatio);
   EXPECT_EQ(one[0].ratios.tRatio, full[0].ratios.tRatio);
   EXPECT_EQ(one[0].ratios.fRatio, full[0].ratios.fRatio);
+}
+
+// The caps run in parallel into their own slots, so every backend and
+// pool size yields the same records bit for bit, and each record is the
+// simulator's run of its cap alone.
+TEST(Study, ParallelCapSweepIsBitIdenticalOnEveryBackendAndPool) {
+  Study study(smallConfig());
+  const std::vector<ConfigRecord> reference =
+      sweepOn(study, 1, exec::serialBackend());
+  ASSERT_EQ(reference.size(), kPaperCaps.size());
+
+  const StudyConfig& config = study.config();
+  util::ExecutionContext ctx;
+  const vis::KernelProfile kernel = repeatKernel(
+      scaleKernelWork(
+          study.characterize(ctx, Algorithm::Contour, 8, config.params),
+          config.workScale),
+      2);
+  const ExecutionSimulator simulator(config.machine, config.simulator);
+  for (std::size_t i = 0; i < kPaperCaps.size(); ++i) {
+    SCOPED_TRACE("cap " + std::to_string(kPaperCaps[i]));
+    EXPECT_EQ(reference[i].capWatts, kPaperCaps[i]);
+    expectSameMeasurement(reference[i].measurement,
+                          simulator.run(kernel, kPaperCaps[i]));
+  }
+
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threaded, workers=" + std::to_string(workers));
+    expectSameRecords(reference,
+                      sweepOn(study, workers, exec::threadedBackend()));
+  }
+}
+
+// The profile is memoized first, so the cancellation is seen by the
+// parallel model region itself; a later uncancelled sweep is unharmed.
+TEST(Study, CancelledCapSweepThrowsAndTheNextSweepMatches) {
+  Study study(smallConfig());
+  const std::vector<ConfigRecord> reference =
+      sweepOn(study, 1, exec::serialBackend());
+
+  util::ThreadPool pool(4);
+  util::ExecutionContext cancelled(pool);
+  cancelled.setBackend(exec::threadedBackend());
+  cancelled.cancel().cancel();
+  EXPECT_THROW(
+      study.capSweep(cancelled, Algorithm::Contour, 8, kPaperCaps, 2),
+      util::CancelledError);
+
+  expectSameRecords(reference, sweepOn(study, 4, exec::threadedBackend()));
 }
 
 TEST(Study, CapSweepHasOneRecordPerCap) {
