@@ -1,6 +1,9 @@
 #include "service/protocol.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/backend.h"
 #include "util/error.h"
@@ -28,6 +31,30 @@ const Json& requiredField(const Json& json, const char* key) {
   PVIZ_REQUIRE(v != nullptr,
                std::string("request is missing required field '") + key + "'");
   return *v;
+}
+
+// An integer-valued JSON number in [lo, hi], checked before the cast
+// (converting a double the target type cannot hold is undefined
+// behaviour).  Non-finite and fractional values are rejected too.
+template <typename Int>
+Int integerValue(const Json& value, const char* key, Int lo, Int hi) {
+  const double x = value.asNumber();
+  // hi + 1 is exact in double for every bound used here, and rounds to
+  // 2^63 for the int64 maximum, which is the correct exclusive limit.
+  const bool ok = std::isfinite(x) && std::trunc(x) == x &&
+                  x >= static_cast<double>(lo) &&
+                  x < static_cast<double>(hi) + 1.0;
+  PVIZ_REQUIRE(ok, std::string(key) + " must be an integer in [" +
+                       std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return static_cast<Int>(x);
+}
+
+// An optional non-negative integer field; absent means 0.
+template <typename Int>
+Int countField(const Json& json, const char* key,
+               Int hi = std::numeric_limits<Int>::max()) {
+  const Json* v = json.find(key);
+  return v != nullptr ? integerValue<Int>(*v, key, 0, hi) : 0;
 }
 
 }  // namespace
@@ -168,8 +195,7 @@ Request requestFromJson(const Json& json) {
     return request;
   }
   if (request.op == Op::Events) {
-    request.eventsLimit = static_cast<int>(numberField(json, "limit", 0.0));
-    PVIZ_REQUIRE(request.eventsLimit >= 0, "limit must be non-negative");
+    request.eventsLimit = countField<int>(json, "limit");
     return request;
   }
   if (request.op == Op::Ping) {
@@ -202,12 +228,8 @@ Request requestFromJson(const Json& json) {
   }
 
   // Multi-block decomposition (kernel-running ops only; 0 = default).
-  request.blocks = static_cast<vis::Id>(numberField(json, "blocks", 0.0));
-  PVIZ_REQUIRE(request.blocks >= 0 && request.blocks <= 4096,
-               "blocks must be in [0, 4096]");
-  request.ghost = static_cast<vis::Id>(numberField(json, "ghost", 0.0));
-  PVIZ_REQUIRE(request.ghost >= 0 && request.ghost <= 8,
-               "ghost must be in [0, 8]");
+  request.blocks = countField<vis::Id>(json, "blocks", 4096);
+  request.ghost = countField<vis::Id>(json, "ghost", 8);
 
   if (request.op == Op::Study) {
     if (const Json* algorithms = json.find("algorithms")) {
@@ -217,33 +239,26 @@ Request requestFromJson(const Json& json) {
     }
     if (const Json* sizes = json.find("sizes")) {
       for (const Json& s : sizes->asArray()) {
-        const vis::Id size = s.asInt();
-        PVIZ_REQUIRE(size > 0, "sizes must be positive");
-        request.sizes.push_back(size);
+        request.sizes.push_back(integerValue<vis::Id>(
+            s, "sizes", 1, std::numeric_limits<vis::Id>::max()));
       }
     }
-    request.cycles = static_cast<int>(numberField(json, "cycles", 0.0));
-    PVIZ_REQUIRE(request.cycles >= 0, "cycles must be non-negative");
+    request.cycles = countField<int>(json, "cycles");
     return request;
   }
 
   // Single-kernel operations.
   request.algorithm =
       core::parseAlgorithmToken(requiredField(json, "algorithm").asString());
-  request.size = requiredField(json, "size").asInt();
-  PVIZ_REQUIRE(request.size > 0, "size must be positive");
+  request.size = integerValue<vis::Id>(requiredField(json, "size"), "size", 1,
+                                      std::numeric_limits<vis::Id>::max());
   if (request.op == Op::Budget) {
     request.budgetWatts = requiredField(json, "budget_watts").asNumber();
     PVIZ_REQUIRE(request.budgetWatts > 0.0, "budget_watts must be positive");
-    request.simSteps = static_cast<int>(numberField(json, "sim_steps", 0.0));
-    PVIZ_REQUIRE(request.simSteps >= 0, "sim_steps must be non-negative");
+    request.simSteps = countField<int>(json, "sim_steps");
   }
-  request.advectSeeds =
-      static_cast<vis::Id>(numberField(json, "advect_seeds", 0.0));
-  PVIZ_REQUIRE(request.advectSeeds >= 0, "advect_seeds must be non-negative");
-  request.advectSteps =
-      static_cast<vis::Id>(numberField(json, "advect_steps", 0.0));
-  PVIZ_REQUIRE(request.advectSteps >= 0, "advect_steps must be non-negative");
+  request.advectSeeds = countField<vis::Id>(json, "advect_seeds");
+  request.advectSteps = countField<vis::Id>(json, "advect_steps");
   request.advectMode = stringField(json, "advect_mode", "");
   if (!request.advectMode.empty()) {
     vis::ParticleAdvectionFilter::parseMode(request.advectMode);

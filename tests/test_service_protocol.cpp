@@ -2,6 +2,8 @@
 // result-payload round trips for every operation type.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "service/protocol.h"
 #include "util/error.h"
 
@@ -353,6 +355,69 @@ TEST(Protocol, MalformedRequestsThrow) {
                Error);
   // Not an object at all.
   EXPECT_THROW(requestFromJson(Json::parse("[1,2,3]")), Error);
+}
+
+// Integer fields are range-checked before the cast: an out-of-range,
+// fractional or non-finite number is an error naming the field and its
+// range, never undefined behaviour or a silent truncation.
+TEST(Protocol, IntegerFieldsRejectOutOfRangeAndFractionalValues) {
+  const auto errorFor = [](const std::string& text) -> std::string {
+    try {
+      requestFromJson(Json::parse(text));
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string study = R"({"op":"study","algorithms":["contour"],)";
+  const std::string classify =
+      R"({"op":"classify","algorithm":"contour","size":32,)";
+  const std::string budget =
+      R"({"op":"budget","algorithm":"contour","size":32,"budget_watts":80,)";
+
+  EXPECT_NE(errorFor(study + R"("cycles":1e10})").find(
+                "cycles must be an integer in [0, 2147483647]"),
+            std::string::npos);
+  EXPECT_NE(errorFor(study + R"("cycles":2.5})").find("cycles"),
+            std::string::npos);
+  EXPECT_NE(errorFor(study + R"("cycles":-1})").find("cycles"),
+            std::string::npos);
+  EXPECT_NE(errorFor(budget + R"("sim_steps":1e12})").find(
+                "sim_steps must be an integer in [0, 2147483647]"),
+            std::string::npos);
+  EXPECT_NE(errorFor(classify + R"("advect_seeds":1e30})").find(
+                "advect_seeds must be an integer in [0, 9223372036854775807]"),
+            std::string::npos);
+  // 2^63 is one past the int64 maximum.
+  EXPECT_NE(errorFor(classify + R"("advect_steps":9223372036854775808})")
+                .find("advect_steps"),
+            std::string::npos);
+  EXPECT_NE(errorFor(classify + R"("blocks":4097})").find(
+                "blocks must be an integer in [0, 4096]"),
+            std::string::npos);
+  EXPECT_NE(errorFor(classify + R"("ghost":8.5})").find(
+                "ghost must be an integer in [0, 8]"),
+            std::string::npos);
+  EXPECT_NE(errorFor(R"({"op":"events","limit":3e9})").find("limit"),
+            std::string::npos);
+  EXPECT_NE(errorFor(R"({"op":"classify","algorithm":"contour","size":1.5})")
+                .find("size"),
+            std::string::npos);
+  EXPECT_NE(errorFor(study + R"("sizes":[16,1e300]})").find("sizes"),
+            std::string::npos);
+
+  // The bounds themselves are accepted, and -0 is 0.
+  const Request atBounds = requestFromJson(Json::parse(
+      classify + R"("blocks":4096,"ghost":8,"advect_seeds":-0})"));
+  EXPECT_EQ(atBounds.blocks, 4096);
+  EXPECT_EQ(atBounds.ghost, 8);
+  EXPECT_EQ(atBounds.advectSeeds, 0);
+  EXPECT_EQ(requestFromJson(Json::parse(study + R"("cycles":2147483647})"))
+                .cycles,
+            2147483647);
+  EXPECT_EQ(
+      requestFromJson(Json::parse(R"({"op":"events","limit":25})")).eventsLimit,
+      25);
 }
 
 // --- Responses ------------------------------------------------------------
