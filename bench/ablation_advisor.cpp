@@ -20,13 +20,10 @@ int main() {
       "Labasan et al., IPDPS'19, §VII (findings applied to a runtime)");
 
   const vis::Id size = benchutil::envInt("PVIZ_SIZE", 32);
-  // Characterize a simulation phase: a burst of real hydro steps,
-  // calibrated to VTK-m/production scale like the study kernels.
-  const vis::KernelProfile simKernel = [&] {
-    sim::CloverLeaf fresh(size);
-    fresh.run(80);
-    return core::scaleKernelWork(fresh.takeProfile(), 100.0);
-  }();
+  // The simulation phase: a burst of 80 hydro steps, calibrated to
+  // VTK-m/production scale like the study kernels.
+  const vis::KernelProfile simKernel =
+      core::scaleKernelWork(sim::hydroProfile(size, 80), 100.0);
 
   core::StudyConfig config = benchutil::defaultStudyConfig();
   core::Study study(config);

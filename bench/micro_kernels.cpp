@@ -38,7 +38,8 @@ const vis::UniformGrid& grid(vis::Id size) {
   static std::map<vis::Id, vis::UniformGrid> cache;
   auto it = cache.find(size);
   if (it == cache.end()) {
-    it = cache.emplace(size, sim::makeCloverField(size)).first;
+    util::ExecutionContext ctx;
+    it = cache.emplace(size, sim::makeCloverField(ctx, size)).first;
   }
   return it->second;
 }
@@ -182,20 +183,17 @@ void BM_ParticleAdvection(benchmark::State& state) {
 }
 BENCHMARK(BM_ParticleAdvection)->Arg(100)->Arg(400);
 
-// --- Flow workload: advection scheduling at scale --------------------
+// --- Flow workload: advection at scale --------------------------------
 //
 // An early-termination-heavy field: a thin vortex core traps a small
 // fraction of the seeds for the full integration while the radial
 // outflow ejects everyone else within a couple dozen steps.  That skew
-// is the worst case for static chunking — whichever chunk drew the
-// core serializes the tail — and the case the work-stealing scheduler
-// exists for.  `legacy` is a bench-local replica of the pre-scheduler
-// pipeline (one growing polyline buffer per chunk, merged under a
-// mutex) over the exact same counter-based seeds, so the three columns
-// separate the pipeline effect (legacy vs worksteal) from the schedule
-// effect (static vs worksteal).  Rows land in BENCH_kernels.json as a
-// dedicated `flow` table; on a single-core host the two schedule
-// columns coincide by construction.
+// is the worst case for static chunking: whichever chunk drew the core
+// serializes the tail.  `legacy` is a bench-local replica of the
+// pre-SoA pipeline (one growing polyline buffer per chunk, merged under
+// a mutex) over the exact same counter-based seeds, so the two columns
+// separate the pipeline effect.  Rows land in BENCH_kernels.json as a
+// dedicated `flow` table.
 const vis::UniformGrid& vortexTrapGrid() {
   static const vis::UniformGrid g = [] {
     vis::UniformGrid grid({33, 33, 33}, {0.0, 0.0, 0.0},
@@ -222,7 +220,7 @@ constexpr vis::Id kFlowMaxSteps = 256;
 constexpr double kFlowStepLength = 0.01;
 constexpr std::uint64_t kFlowRngSeed = 42;
 
-// The pre-scheduler pipeline, verbatim in shape: chunked parallel-for,
+// The pre-SoA pipeline, verbatim in shape: chunked parallel-for,
 // a growing PolylineSet per chunk, mutex-guarded merge, final stitch.
 // Seeds come from the filter's counter-based generator so every column
 // advects the identical particle set.
@@ -283,7 +281,7 @@ std::int64_t legacyAdvect(util::ExecutionContext& ctx,
   return totalSteps.load();
 }
 
-enum class FlowColumn { Legacy, StaticChunk, WorkSteal };
+enum class FlowColumn { Legacy, StaticChunk };
 
 void BM_AdvectFlow(benchmark::State& state, FlowColumn column) {
   const vis::UniformGrid& g = vortexTrapGrid();
@@ -293,9 +291,6 @@ void BM_AdvectFlow(benchmark::State& state, FlowColumn column) {
   filter.setMaxSteps(kFlowMaxSteps);
   filter.setStepLength(kFlowStepLength);
   filter.setSeedRngSeed(kFlowRngSeed);
-  filter.setSchedule(column == FlowColumn::StaticChunk
-                         ? vis::ParticleAdvectionFilter::Schedule::StaticChunk
-                         : vis::ParticleAdvectionFilter::Schedule::WorkSteal);
   util::ExecutionContext ctx;
   std::int64_t steps = 0;
   for (auto _ : state) {
@@ -311,8 +306,6 @@ void BM_AdvectFlow(benchmark::State& state, FlowColumn column) {
 BENCHMARK_CAPTURE(BM_AdvectFlow, legacy, FlowColumn::Legacy)
     ->Arg(1000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_AdvectFlow, static, FlowColumn::StaticChunk)
-    ->Arg(1000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_AdvectFlow, worksteal, FlowColumn::WorkSteal)
     ->Arg(1000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 void BM_ExternalFaces(benchmark::State& state) {
@@ -601,9 +594,10 @@ BENCHMARK(BM_ContourTelemetryOn)
     ->Unit(benchmark::kMillisecond);
 
 void BM_CloverLeafStep(benchmark::State& state) {
-  sim::CloverLeaf clover(state.range(0));
+  util::ExecutionContext ctx;
+  sim::CloverLeaf clover(ctx, state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(clover.step());
+    benchmark::DoNotOptimize(clover.step(ctx));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(0) * state.range(0));

@@ -87,12 +87,12 @@ void renderMesh(util::ExecutionContext& ctx, const TriangleMesh& mesh,
 int main(int argc, char** argv) {
   const Id cells = argc > 1 ? std::atoi(argv[1]) : 48;
   std::cout << "building " << cells << "^3 CloverLeaf-like dataset...\n";
-  const vis::UniformGrid g = sim::makeCloverField(cells);
+  // One context for the dataset and all eight kernels: the scratch arena
+  // warmed by the first filter serves the rest.
+  util::ExecutionContext ctx;
+  const vis::UniformGrid g = sim::makeCloverField(ctx, cells);
   const vis::Bounds bounds = g.bounds();
   const auto [lo, hi] = g.field("energy").range();
-  // One context for all eight kernels: the scratch arena warmed by the
-  // first filter serves the rest.
-  util::ExecutionContext ctx;
 
   {  // (a) contour
     ctx.beginRun();

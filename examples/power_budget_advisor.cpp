@@ -16,11 +16,9 @@
 int main() {
   using namespace pviz;
 
-  // Characterize the simulation side: real hydro steps.
-  sim::CloverLeaf clover(24);
-  clover.run(10);
+  // The simulation side: ten hydro steps on a 24^3 grid.
   const vis::KernelProfile simKernel =
-      core::scaleKernelWork(clover.takeProfile(), 100.0);
+      core::scaleKernelWork(sim::hydroProfile(24, 10), 100.0);
 
   // Characterize three visualization candidates on the current state.
   core::StudyConfig config;

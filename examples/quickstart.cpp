@@ -18,14 +18,17 @@
 int main() {
   using namespace pviz;
 
+  // One execution context for everything below: the pool, backend,
+  // scratch arena and cancel token every loop runs on.
+  util::ExecutionContext ctx;
+
   // A 64^3 dataset shaped like an evolved CloverLeaf energy field.
-  const vis::UniformGrid dataset = sim::makeCloverField(64);
+  const vis::UniformGrid dataset = sim::makeCloverField(ctx, 64);
 
   // Extract 10 isosurfaces (the study's configuration).
   vis::ContourFilter contour;
   contour.setIsovalues(
       vis::ContourFilter::uniformIsovalues(dataset.field("energy"), 10));
-  util::ExecutionContext ctx;
   const vis::ContourFilter::Result result = contour.run(ctx, dataset, "energy");
   std::cout << "contour produced " << result.surface.numTriangles()
             << " triangles over 10 isovalues\n\n";

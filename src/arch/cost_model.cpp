@@ -119,11 +119,6 @@ PhaseCost CostModel::phaseCost(const vis::WorkProfile& phase,
   return cost;
 }
 
-double CostModel::phasePower(const vis::WorkProfile& phase,
-                             double fGhz) const {
-  return phaseCost(phase, fGhz).powerWatts;
-}
-
 KernelCost CostModel::kernelCost(const vis::KernelProfile& kernel,
                                  double fGhz) const {
   KernelCost total;

@@ -75,10 +75,6 @@ class CostModel {
   /// Evaluate a whole kernel at a fixed core frequency.
   KernelCost kernelCost(const vis::KernelProfile& kernel, double fGhz) const;
 
-  /// Package power while running `phase` at `fGhz` (same number
-  /// phaseCost computes; exposed for the governor's root finding).
-  double phasePower(const vis::WorkProfile& phase, double fGhz) const;
-
   /// Measured-IPC (REF_TSC semantics): instructions retired divided by
   /// reference cycles across all cores for a run of `seconds`.
   double referenceIpc(double instructions, double seconds) const {

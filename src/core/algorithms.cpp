@@ -163,8 +163,6 @@ vis::ParticleAdvectionFilter advectionFor(const AlgorithmParams& params) {
   filter.setSeedCount(params.seedCount);
   filter.setMaxSteps(params.maxSteps);
   filter.setStepLength(params.stepLength);
-  filter.setSchedule(
-      vis::ParticleAdvectionFilter::parseSchedule(params.advectionSchedule));
   return filter;
 }
 

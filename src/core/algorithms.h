@@ -83,10 +83,6 @@ struct AlgorithmParams {
   /// between the "velocity_prev" and "velocity" fields when the grid
   /// carries both; degenerates to a steady window otherwise).
   std::string advectionMode = "streamline";
-  /// "worksteal" (batched work-stealing rounds) or "static" (one
-  /// contiguous chunk per worker).  Outputs are bit-identical; the
-  /// schedule only changes wall-clock under load imbalance.
-  std::string advectionSchedule = "worksteal";
   // Rendering (paper: an image database of 50 images per cycle).
   int cameraCount = 50;
   int imageWidth = 512;

@@ -13,8 +13,11 @@ PipelineReport runInSituPipeline(util::ExecutionContext& ctx,
   PVIZ_REQUIRE(!config.algorithms.empty(),
                "pipeline needs at least one algorithm");
 
-  sim::CloverLeaf clover(config.cellsPerAxis);
+  sim::CloverLeaf clover(ctx, config.cellsPerAxis);
   ExecutionSimulator simulator(config.machine, config.simulator);
+  const vis::KernelProfile simProfile = scaleKernelWork(
+      sim::hydroProfile(config.cellsPerAxis, config.simStepsPerCycle),
+      config.workScale);
 
   PipelineReport report;
   double vizSecondsTotal = 0.0;
@@ -26,16 +29,14 @@ PipelineReport runInSituPipeline(util::ExecutionContext& ctx,
     cr.cycle = cycle;
 
     // --- Simulation phase under the simulation cap. ----------------------
-    clover.run(config.simStepsPerCycle);
-    const vis::KernelProfile simProfile =
-        scaleKernelWork(clover.takeProfile(), config.workScale);
+    clover.run(ctx, config.simStepsPerCycle);
     const Measurement simRun =
         simulator.run(simProfile, config.simCapWatts, &ctx.cancel());
     cr.simSeconds = simRun.seconds;
     cr.simWatts = simRun.averageWatts;
 
     // --- Visualization phase under the visualization cap. ----------------
-    vis::UniformGrid dataset = clover.exportForViz();
+    vis::UniformGrid dataset = clover.exportForViz(ctx);
     if (config.params.advectionMode == "pathline") {
       // Pathline advection traces the unsteady flow across one cycle:
       // attach the previous cycle's velocity so the filter interpolates

@@ -28,8 +28,6 @@ std::string cacheKey(Algorithm algorithm, vis::Id size,
   // (outputs and profiles are backend-invariant).
   os << "|b" << p.blockCount << "g" << p.ghostLayers;
   // The remaining profile-relevant knobs, fractions in exact hex form.
-  // The advection schedule is left out: schedules are bit-identical, so
-  // every schedule maps to the same entry.
   os << "|s" << p.sampledCameraCount << "|f" << std::hexfloat
      << p.thresholdLoFraction << ',' << p.thresholdHiFraction << ','
      << p.clipRadiusFraction << ',' << p.isovolumeLoFraction << ','
@@ -47,16 +45,18 @@ Study::Study(StudyConfig config)
   PVIZ_REQUIRE(config_.cycles >= 1, "study needs at least one cycle");
 }
 
-const vis::UniformGrid& Study::dataset(vis::Id size) {
+const vis::UniformGrid& Study::dataset(util::ExecutionContext& ctx,
+                                      vis::Id size) {
   // One lock spans lookup and generation: concurrent requests for the
   // same size wait for the single generation instead of racing it.
   std::lock_guard lock(datasetMutex_);
   auto it = datasets_.find(size);
   if (it == datasets_.end()) {
     PVIZ_LOG_INFO("generating " << size << "^3 clover dataset");
+    auto scope = ctx.phase("dataset");
     it = datasets_
              .emplace(size, std::make_unique<vis::UniformGrid>(
-                                sim::makeCloverField(size)))
+                                sim::makeCloverField(ctx, size)))
              .first;
   }
   return *it->second;
@@ -98,7 +98,7 @@ const vis::KernelProfile& Study::characterize(util::ExecutionContext& ctx,
     if (!fromDisk) {
       PVIZ_LOG_INFO("characterizing " << algorithmName(algorithm) << " at "
                                       << size << "^3");
-      profile = runAlgorithm(ctx, algorithm, dataset(size), params);
+      profile = runAlgorithm(ctx, algorithm, dataset(ctx, size), params);
       if (!config_.cachePath.empty()) {
         std::lock_guard diskLock(diskCacheMutex_);
         auto disk = loadProfileCache(config_.cachePath);

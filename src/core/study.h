@@ -97,8 +97,10 @@ class Study {
     return capSweep(ctx, algorithm, size, capsWatts, cycles, config_.params);
   }
 
-  /// The dataset used for characterization at `size` (memoized).
-  const vis::UniformGrid& dataset(vis::Id size);
+  /// The dataset used for characterization at `size` (memoized).  A
+  /// miss builds it on `ctx` under a "dataset" phase; a cancelled build
+  /// leaves no entry.
+  const vis::UniformGrid& dataset(util::ExecutionContext& ctx, vis::Id size);
 
   const StudyConfig& config() const { return config_; }
 

@@ -10,7 +10,6 @@
 #include "util/backend.h"
 #include "util/error.h"
 #include "util/exec_context.h"
-#include "util/log.h"
 
 namespace pviz::service {
 
@@ -78,8 +77,7 @@ const vis::KernelProfile& ServiceEngine::profileFor(
     util::ExecutionContext& ctx, const Request& request) {
   const bool advectOverrides = request.advectSeeds > 0 ||
                                request.advectSteps > 0 ||
-                               !request.advectMode.empty() ||
-                               !request.advectSchedule.empty();
+                               !request.advectMode.empty();
   if (advectOverrides) {
     PVIZ_REQUIRE(request.algorithm == core::Algorithm::ParticleAdvection,
                  "advect_* overrides are only valid with algorithm=advection");
@@ -88,9 +86,6 @@ const vis::KernelProfile& ServiceEngine::profileFor(
   if (request.advectSeeds > 0) params.seedCount = request.advectSeeds;
   if (request.advectSteps > 0) params.maxSteps = request.advectSteps;
   if (!request.advectMode.empty()) params.advectionMode = request.advectMode;
-  if (!request.advectSchedule.empty()) {
-    params.advectionSchedule = request.advectSchedule;
-  }
   // Decomposition overrides are valid on ANY algorithm (every kernel
   // runs multi-block, or on the stitched grid when its traversal is
   // global), unlike advect_* which only makes sense for advection.
@@ -135,8 +130,9 @@ Json ServiceEngine::execute(util::ExecutionContext& ctx,
     case Op::Budget: {
       const vis::KernelProfile vizKernel = core::scaleKernelWork(
           profileFor(ctx, request), config_.study.workScale);
-      const vis::KernelProfile& simKernel =
-          simProfile(request.size, request.simSteps);
+      const vis::KernelProfile simKernel = core::scaleKernelWork(
+          sim::hydroProfile(request.size, request.simSteps),
+          config_.study.workScale);
       const core::BudgetPlan plan =
           advisor_.planBudget(simKernel, vizKernel, request.budgetWatts);
       Json out = budgetPlanToJson(plan);
@@ -190,25 +186,6 @@ Json ServiceEngine::runStudySlice(util::ExecutionContext& ctx,
   out.set("count", static_cast<double>(count));
   out.set("records", std::move(records));
   return out;
-}
-
-const vis::KernelProfile& ServiceEngine::simProfile(vis::Id size, int steps) {
-  // Memoized like Study::characterize: the lock spans the hydro run so
-  // concurrent budget requests for the same configuration share one run.
-  std::lock_guard lock(simProfileMutex_);
-  const auto key = std::make_pair(size, steps);
-  auto it = simProfiles_.find(key);
-  if (it == simProfiles_.end()) {
-    PVIZ_LOG_INFO("characterizing " << steps << " hydro steps at " << size
-                                    << "^3 for budget planning");
-    sim::CloverLeaf clover(size);
-    clover.run(steps);
-    it = simProfiles_
-             .emplace(key, core::scaleKernelWork(clover.takeProfile(),
-                                                 config_.study.workScale))
-             .first;
-  }
-  return it->second;
 }
 
 }  // namespace pviz::service

@@ -3,10 +3,10 @@
 //
 // The engine is the server's single source of study state.  It owns one
 // Study instance (whose characterization memoization is thread-safe and
-// deduplicates concurrent identical work), one PowerAdvisor, a memoized
-// CloverLeaf simulation profile per (size, steps) for budget requests,
-// and the sharded LRU over serialized results.  handle() is safe to
-// call from any number of worker threads.
+// deduplicates concurrent identical work), one PowerAdvisor and the
+// sharded LRU over serialized results.  A budget request's simulation
+// side is sim::hydroProfile, written down rather than run.  handle() is
+// safe to call from any number of worker threads.
 //
 // Request normalization happens here: empty cap lists, zero cycle
 // counts and zero sim-step counts pick up the engine defaults *before*
@@ -14,8 +14,6 @@
 // spelled-out default sweep hit the same cache entry.
 #pragma once
 
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "core/power_advisor.h"
@@ -85,7 +83,6 @@ class ServiceEngine {
   /// Uncached path.
   Json execute(util::ExecutionContext& ctx, const Request& request);
   Json runStudySlice(util::ExecutionContext& ctx, const Request& request);
-  const vis::KernelProfile& simProfile(vis::Id size, int steps);
   /// Single-kernel profile: the study characterization under the
   /// configured params with the request's advect_* / blocks / ghost
   /// overrides applied, memoized in the Study (and on disk) like any
@@ -98,8 +95,6 @@ class ServiceEngine {
   core::PowerAdvisor advisor_;
   ResultCache cache_;
   telemetry::EnergyAttributor* energy_ = nullptr;
-  std::mutex simProfileMutex_;
-  std::map<std::pair<vis::Id, int>, vis::KernelProfile> simProfiles_;
 };
 
 }  // namespace pviz::service

@@ -49,6 +49,13 @@ Int integerValue(const Json& value, const char* key, Int lo, Int hi) {
   return static_cast<Int>(x);
 }
 
+// Trace and span ids travel as JSON numbers, so they are bounded by the
+// largest integer a double holds with every smaller integer exact.
+constexpr std::uint64_t kMaxWireId = (std::uint64_t{1} << 53) - 1;
+
+// Hydro steps a budget request may model: one profile phase per step.
+constexpr int kMaxSimSteps = 10000;
+
 // An optional non-negative integer field; absent means 0.
 template <typename Int>
 Int countField(const Json& json, const char* key,
@@ -137,9 +144,6 @@ Json toJson(const Request& request) {
       if (!request.advectMode.empty()) {
         out.set("advect_mode", request.advectMode);
       }
-      if (!request.advectSchedule.empty()) {
-        out.set("advect_schedule", request.advectSchedule);
-      }
       if (request.blocks > 0) out.set("blocks", request.blocks);
       if (request.ghost > 0) out.set("ghost", request.ghost);
       break;
@@ -177,12 +181,9 @@ Request requestFromJson(const Json& json) {
   if (const Json* trace = json.find("trace")) {
     request.trace = trace->asBool();
   }
-  const double traceId = numberField(json, "trace_id", 0.0);
-  PVIZ_REQUIRE(traceId >= 0.0, "trace_id must be non-negative");
-  request.traceId = static_cast<std::uint64_t>(traceId);
-  const double parentSpan = numberField(json, "parent_span", 0.0);
-  PVIZ_REQUIRE(parentSpan >= 0.0, "parent_span must be non-negative");
-  request.parentSpan = static_cast<std::uint64_t>(parentSpan);
+  request.traceId = countField<std::uint64_t>(json, "trace_id", kMaxWireId);
+  request.parentSpan =
+      countField<std::uint64_t>(json, "parent_span", kMaxWireId);
   request.backend = stringField(json, "backend", "");
   if (!request.backend.empty()) {
     exec::parseBackendToken(request.backend);  // reject unknown tokens early
@@ -210,7 +211,11 @@ Request requestFromJson(const Json& json) {
     return request;
   }
   if (request.op == Op::Heartbeat) {
-    request.seq = static_cast<std::int64_t>(numberField(json, "seq", 0.0));
+    if (const Json* seq = json.find("seq")) {
+      request.seq = integerValue<std::int64_t>(
+          *seq, "seq", std::numeric_limits<std::int64_t>::min(),
+          std::numeric_limits<std::int64_t>::max());
+    }
     return request;
   }
   if (request.op == Op::Claim) {
@@ -255,17 +260,13 @@ Request requestFromJson(const Json& json) {
   if (request.op == Op::Budget) {
     request.budgetWatts = requiredField(json, "budget_watts").asNumber();
     PVIZ_REQUIRE(request.budgetWatts > 0.0, "budget_watts must be positive");
-    request.simSteps = countField<int>(json, "sim_steps");
+    request.simSteps = countField<int>(json, "sim_steps", kMaxSimSteps);
   }
   request.advectSeeds = countField<vis::Id>(json, "advect_seeds");
   request.advectSteps = countField<vis::Id>(json, "advect_steps");
   request.advectMode = stringField(json, "advect_mode", "");
   if (!request.advectMode.empty()) {
     vis::ParticleAdvectionFilter::parseMode(request.advectMode);
-  }
-  request.advectSchedule = stringField(json, "advect_schedule", "");
-  if (!request.advectSchedule.empty()) {
-    vis::ParticleAdvectionFilter::parseSchedule(request.advectSchedule);
   }
   return request;
 }

@@ -101,7 +101,7 @@ struct Request {
 
   // Budget.
   double budgetWatts = 0.0;
-  int simSteps = 0;  ///< hydro steps characterizing the sim side (0 = default)
+  int simSteps = 0;  ///< hydro steps modeling the sim side (0 = default; <= 10000)
 
   // Ping.
   double delayMs = 0.0;  ///< artificial service time, for load tests
@@ -143,13 +143,11 @@ struct Request {
 
   // Particle advection overrides, valid on the single-kernel ops
   // (characterize / classify / budget) when algorithm == advection.
-  // Zero / empty = server-configured defaults.  Seeds, steps and mode
-  // change the profile and are part of the cache key; the schedule is
-  // excluded like `backend` — schedules are bit-identical by contract.
-  vis::Id advectSeeds = 0;      ///< seed count (flow workload scale)
-  vis::Id advectSteps = 0;      ///< max RK4 steps (integration length)
-  std::string advectMode;       ///< "streamline" | "pathline"
-  std::string advectSchedule;   ///< "worksteal" | "static"
+  // Zero / empty = server-configured defaults.  Each changes the profile
+  // and is part of the cache key.
+  vis::Id advectSeeds = 0;  ///< seed count (flow workload scale)
+  vis::Id advectSteps = 0;  ///< max RK4 steps (integration length)
+  std::string advectMode;   ///< "streamline" | "pathline"
 
   // Multi-block decomposition overrides, valid on any kernel-running op
   // (characterize / classify / budget / study).  Zero = server default.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "util/parallel.h"
 
@@ -10,7 +11,8 @@ namespace pviz::sim {
 using vis::Id;
 using vis::Id3;
 
-CloverLeaf::CloverLeaf(Id cellsPerAxis, CloverConfig config)
+CloverLeaf::CloverLeaf(util::ExecutionContext& ctx, Id cellsPerAxis,
+                       CloverConfig config)
     : cellsPerAxis_(cellsPerAxis),
       cellDims_{cellsPerAxis, cellsPerAxis, cellsPerAxis},
       pointDims_{cellsPerAxis + 1, cellsPerAxis + 1, cellsPerAxis + 1},
@@ -28,12 +30,10 @@ CloverLeaf::CloverLeaf(Id cellsPerAxis, CloverConfig config)
   velZ_.assign(np, 0.0);
   scratchA_.assign(nc, 0.0);
   scratchB_.assign(nc, 0.0);
-  profile_.kernel = "cloverleaf";
-  profile_.elements = cellDims_.product();
 
   // Two-state initial condition: dense, hot corner region.
   const double extent = config_.blastExtent;
-  util::parallelFor(0, cellDims_.product(), [&](Id c) {
+  util::parallelFor(ctx, 0, cellDims_.product(), [&](Id c) {
     const Id i = c % cellDims_.i;
     const Id j = (c / cellDims_.i) % cellDims_.j;
     const Id k = c / (cellDims_.i * cellDims_.j);
@@ -45,12 +45,21 @@ CloverLeaf::CloverLeaf(Id cellsPerAxis, CloverConfig config)
       energy_[static_cast<std::size_t>(c)] = config_.blastEnergy;
     }
   });
-  equationOfState();
+  equationOfState(ctx);
 }
 
-void CloverLeaf::equationOfState() {
+// The temporary context lives until the delegated constructor returns.
+CloverLeaf::CloverLeaf(Id cellsPerAxis)
+    : CloverLeaf(*std::make_unique<util::ExecutionContext>(), cellsPerAxis) {}
+
+void CloverLeaf::run(int n) {
+  util::ExecutionContext ctx;
+  run(ctx, n);
+}
+
+void CloverLeaf::equationOfState(util::ExecutionContext& ctx) {
   const double gm1 = config_.gamma - 1.0;
-  util::parallelFor(0, cellDims_.product(), [&](Id c) {
+  util::parallelFor(ctx, 0, cellDims_.product(), [&](Id c) {
     const auto i = static_cast<std::size_t>(c);
     pressure_[i] = gm1 * density_[i] * energy_[i];
     soundspeed_[i] = std::sqrt(config_.gamma * pressure_[i] /
@@ -71,9 +80,9 @@ double CloverLeaf::computeDt() const {
   return config_.cfl * h_ / maxSpeed;
 }
 
-void CloverLeaf::accelerate(double dt) {
+void CloverLeaf::accelerate(util::ExecutionContext& ctx, double dt) {
   // Node acceleration from the pressure gradient of adjacent cells.
-  util::parallelFor(0, pointDims_.product(), [&](Id n) {
+  util::parallelFor(ctx, 0, pointDims_.product(), [&](Id n) {
     const Id i = n % pointDims_.i;
     const Id j = (n / pointDims_.i) % pointDims_.j;
     const Id k = n / (pointDims_.i * pointDims_.j);
@@ -106,10 +115,10 @@ void CloverLeaf::accelerate(double dt) {
   });
 }
 
-void CloverLeaf::pdvAndViscosity(double dt) {
+void CloverLeaf::pdvAndViscosity(util::ExecutionContext& ctx, double dt) {
   // PdV work: e -= dt * p * div(u) / rho, with a linear artificial
   // viscosity damping compressive shocks.
-  util::parallelFor(0, cellDims_.product(), [&](Id c) {
+  util::parallelFor(ctx, 0, cellDims_.product(), [&](Id c) {
     const Id i = c % cellDims_.i;
     const Id j = (c / cellDims_.i) % cellDims_.j;
     const Id k = c / (cellDims_.i * cellDims_.j);
@@ -138,7 +147,7 @@ void CloverLeaf::pdvAndViscosity(double dt) {
   });
 }
 
-void CloverLeaf::advect(double dt) {
+void CloverLeaf::advect(util::ExecutionContext& ctx, double dt) {
   // Donor-cell (first-order upwind) advection of density and energy
   // using face velocities averaged from node velocities.  Flux form, so
   // mass is conserved to round-off.
@@ -168,7 +177,7 @@ void CloverLeaf::advect(double dt) {
   // Mass advection with energy carried per unit mass.
   std::vector<double>& newDensity = scratchA_;
   std::vector<double>& newEnergyMass = scratchB_;  // rho * e
-  util::parallelFor(0, cd.product(), [&](Id c) {
+  util::parallelFor(ctx, 0, cd.product(), [&](Id c) {
     const Id i = c % cd.i;
     const Id j = (c / cd.i) % cd.j;
     const Id k = c / (cd.i * cd.j);
@@ -220,35 +229,20 @@ void CloverLeaf::advect(double dt) {
     newEnergyMass[ci] = std::max(e0 + energyFlux, 1e-15);
   });
   std::swap(density_, newDensity);
-  util::parallelFor(0, cd.product(), [&](Id c) {
+  util::parallelFor(ctx, 0, cd.product(), [&](Id c) {
     const auto ci = static_cast<std::size_t>(c);
     energy_[ci] = newEnergyMass[ci] / density_[ci];
   });
 }
 
-double CloverLeaf::step() {
+double CloverLeaf::step(util::ExecutionContext& ctx) {
   const double dt = computeDt();
-  accelerate(dt);
-  pdvAndViscosity(dt);
-  advect(dt);
-  equationOfState();
+  accelerate(ctx, dt);
+  pdvAndViscosity(ctx, dt);
+  advect(ctx, dt);
+  equationOfState(ctx);
   ++steps_;
   time_ += dt;
-
-  // --- Workload characterization: classic stencil sweeps — high FP
-  // density AND full-field streaming, like the compute-bound HPC codes
-  // the paper contrasts visualization against.
-  const double cells = static_cast<double>(cellDims_.product());
-  const double nodes = static_cast<double>(pointDims_.product());
-  vis::WorkProfile& hydro = profile_.addPhase("hydro-step");
-  hydro.flops = cells * 190 + nodes * 70;
-  hydro.intOps = cells * 120 + nodes * 40;
-  hydro.memOps = cells * 70 + nodes * 30;
-  hydro.bytesStreamed = cells * 8 * 14 + nodes * 8 * 6;
-  hydro.bytesReused = cells * 8 * 30;
-  hydro.workingSetBytes = cells * 8 * 6;
-  hydro.parallelFraction = 0.99;
-  hydro.overlap = 0.8;
   return dt;
 }
 
@@ -302,14 +296,14 @@ double CloverLeaf::minDensity() const {
   return lo;
 }
 
-vis::UniformGrid CloverLeaf::exportForViz() const {
+vis::UniformGrid CloverLeaf::exportForViz(util::ExecutionContext& ctx) const {
   vis::UniformGrid grid(pointDims_, {0, 0, 0}, {h_, h_, h_});
 
   // Cell-to-point averaged energy.
   vis::Field energy = vis::Field::zeros("energy", vis::Association::Points, 1,
                                         grid.numPoints());
   std::vector<double>& e = energy.data();
-  util::parallelFor(0, grid.numPoints(), [&](Id n) {
+  util::parallelFor(ctx, 0, grid.numPoints(), [&](Id n) {
     const Id i = n % pointDims_.i;
     const Id j = (n / pointDims_.i) % pointDims_.j;
     const Id k = n / (pointDims_.i * pointDims_.j);
@@ -335,7 +329,7 @@ vis::UniformGrid CloverLeaf::exportForViz() const {
   vis::Field velocity = vis::Field::zeros(
       "velocity", vis::Association::Points, 3, grid.numPoints());
   std::vector<double>& v = velocity.data();
-  util::parallelFor(0, grid.numPoints(), [&](Id n) {
+  util::parallelFor(ctx, 0, grid.numPoints(), [&](Id n) {
     const auto ni = static_cast<std::size_t>(n);
     v[ni * 3] = velX_[ni];
     v[ni * 3 + 1] = velY_[ni];
@@ -345,15 +339,37 @@ vis::UniformGrid CloverLeaf::exportForViz() const {
   return grid;
 }
 
-vis::KernelProfile CloverLeaf::takeProfile() {
-  vis::KernelProfile out = std::move(profile_);
-  profile_ = vis::KernelProfile{};
-  profile_.kernel = "cloverleaf";
-  profile_.elements = cellDims_.product();
-  return out;
+vis::KernelProfile hydroProfile(Id cellsPerAxis, int steps) {
+  PVIZ_REQUIRE(cellsPerAxis >= 4, "CloverLeaf needs at least 4^3 cells");
+  PVIZ_REQUIRE(steps >= 0, "hydro step count must be non-negative");
+  const Id cellCount = cellsPerAxis * cellsPerAxis * cellsPerAxis;
+  const Id nodesPerAxis = cellsPerAxis + 1;
+  vis::KernelProfile profile;
+  profile.kernel = "cloverleaf";
+  profile.elements = cellCount;
+
+  // Classic stencil sweeps: high FP density AND full-field streaming,
+  // like the compute-bound HPC codes the paper contrasts visualization
+  // against.
+  const double cells = static_cast<double>(cellCount);
+  const double nodes =
+      static_cast<double>(nodesPerAxis * nodesPerAxis * nodesPerAxis);
+  for (int s = 0; s < steps; ++s) {
+    vis::WorkProfile& hydro = profile.addPhase("hydro-step");
+    hydro.flops = cells * 190 + nodes * 70;
+    hydro.intOps = cells * 120 + nodes * 40;
+    hydro.memOps = cells * 70 + nodes * 30;
+    hydro.bytesStreamed = cells * 8 * 14 + nodes * 8 * 6;
+    hydro.bytesReused = cells * 8 * 30;
+    hydro.workingSetBytes = cells * 8 * 6;
+    hydro.parallelFraction = 0.99;
+    hydro.overlap = 0.8;
+  }
+  return profile;
 }
 
-vis::UniformGrid makeCloverField(Id cellsPerAxis, double front) {
+vis::UniformGrid makeCloverField(util::ExecutionContext& ctx, Id cellsPerAxis,
+                                 double front) {
   PVIZ_REQUIRE(cellsPerAxis >= 2, "need at least 2 cells per axis");
   PVIZ_REQUIRE(front > 0.0 && front < 1.5, "front must be in (0, 1.5)");
   vis::UniformGrid grid = vis::UniformGrid::cube(cellsPerAxis);
@@ -367,7 +383,7 @@ vis::UniformGrid makeCloverField(Id cellsPerAxis, double front) {
   std::vector<double>& v = velocity.data();
 
   const double frontRadius = front * std::sqrt(3.0);
-  util::parallelFor(0, numPoints, [&](Id n) {
+  util::parallelFor(ctx, 0, numPoints, [&](Id n) {
     const vis::Vec3 p = grid.pointPosition(n);
     const double r = length(p);  // distance from the blast corner (origin)
     // Smooth expanding front with trailing ripples (mimics the shocked
@@ -392,6 +408,11 @@ vis::UniformGrid makeCloverField(Id cellsPerAxis, double front) {
   grid.addField(std::move(energy));
   grid.addField(std::move(velocity));
   return grid;
+}
+
+vis::UniformGrid makeCloverField(Id cellsPerAxis, double front) {
+  util::ExecutionContext ctx;
+  return makeCloverField(ctx, cellsPerAxis, front);
 }
 
 }  // namespace pviz::sim

@@ -14,15 +14,21 @@
 //     high-energy region in one corner expanding into a light ambient
 //     gas.
 //
-// Like the visualization filters, every step produces a KernelProfile;
-// a hydro step is the archetypal compute-bound, high-power HPC workload
-// the study's power advisor trades off against visualization.
+// Every loop runs on the caller's ExecutionContext, like the
+// visualization filters.  The workload of a run is hydroProfile(): a
+// hydro step is the archetypal compute-bound, high-power HPC workload
+// the study's power advisor trades off against visualization, and its
+// counts depend only on the grid size and step count.
 #pragma once
 
 #include <cstdint>
 
 #include "viz/dataset/uniform_grid.h"
 #include "viz/worklet/work_profile.h"
+
+namespace pviz::util {
+class ExecutionContext;
+}  // namespace pviz::util
 
 namespace pviz::sim {
 
@@ -39,15 +45,21 @@ struct CloverConfig {
 
 class CloverLeaf {
  public:
-  explicit CloverLeaf(vis::Id cellsPerAxis, CloverConfig config = {});
+  CloverLeaf(util::ExecutionContext& ctx, vis::Id cellsPerAxis,
+             CloverConfig config = {});
+  /// Kept for perfbench, which builds the proxy without a context: runs
+  /// on a default ExecutionContext (global pool, default backend).
+  explicit CloverLeaf(vis::Id cellsPerAxis);
 
   /// Advance one time step; returns the dt taken.
-  double step();
+  double step(util::ExecutionContext& ctx);
 
   /// Advance `n` steps.
-  void run(int n) {
-    for (int i = 0; i < n; ++i) step();
+  void run(util::ExecutionContext& ctx, int n) {
+    for (int i = 0; i < n; ++i) step(ctx);
   }
+  /// Kept for perfbench: run(ctx, n) on a default ExecutionContext.
+  void run(int n);
 
   int stepCount() const { return steps_; }
   double time() const { return time_; }
@@ -60,23 +72,18 @@ class CloverLeaf {
 
   /// Build a visualization dataset: point fields "energy" (scalar,
   /// cell-to-point averaged) and "velocity" (the node velocities).
-  vis::UniformGrid exportForViz() const;
-
-  /// Workload profile of the hydro kernels executed since the last call
-  /// (the in situ pipeline alternates simulation and visualization and
-  /// charges each side its own power/time).
-  vis::KernelProfile takeProfile();
+  vis::UniformGrid exportForViz(util::ExecutionContext& ctx) const;
 
   // Direct state access for tests.
   const std::vector<double>& density() const { return density_; }
   const std::vector<double>& energy() const { return energy_; }
 
  private:
-  void equationOfState();
+  void equationOfState(util::ExecutionContext& ctx);
   double computeDt() const;
-  void accelerate(double dt);
-  void pdvAndViscosity(double dt);
-  void advect(double dt);
+  void accelerate(util::ExecutionContext& ctx, double dt);
+  void pdvAndViscosity(util::ExecutionContext& ctx, double dt);
+  void advect(util::ExecutionContext& ctx, double dt);
 
   vis::Id cellsPerAxis_;
   vis::Id3 cellDims_;
@@ -96,7 +103,6 @@ class CloverLeaf {
 
   int steps_ = 0;
   double time_ = 0.0;
-  vis::KernelProfile profile_;
 
   vis::Id cellId(vis::Id i, vis::Id j, vis::Id k) const {
     return i + cellDims_.i * (j + cellDims_.j * k);
@@ -106,11 +112,22 @@ class CloverLeaf {
   }
 };
 
+/// Workload profile of `steps` hydro steps on a `cellsPerAxis`^3 grid:
+/// one "hydro-step" phase per step (the in situ pipeline and the budget
+/// advisor charge the simulation side its own power and time).  Every
+/// count is a closed form in the cell and node counts, so the profile is
+/// written down, not measured by running the proxy.
+vis::KernelProfile hydroProfile(vis::Id cellsPerAxis, int steps);
+
 /// Fast analytic stand-in for an evolved CloverLeaf energy field: an
 /// expanding corner blast with a smooth front and a radial outflow
 /// velocity.  Used where time-stepping the proxy would be wasteful
 /// (large benchmark grids); `front` positions the blast front as a
 /// fraction of the domain diagonal.
+vis::UniformGrid makeCloverField(util::ExecutionContext& ctx,
+                                 vis::Id cellsPerAxis, double front = 0.55);
+/// Kept for perfbench: makeCloverField(ctx, ...) on a default
+/// ExecutionContext (global pool, default backend).
 vis::UniformGrid makeCloverField(vis::Id cellsPerAxis, double front = 0.55);
 
 }  // namespace pviz::sim

@@ -17,9 +17,8 @@ class SerialBackend final : public Backend {
  public:
   BackendKind kind() const noexcept override { return BackendKind::Serial; }
 
-  void forChunks(util::ThreadPool&, util::CancelToken*, std::int64_t begin,
-                 std::int64_t end, std::int64_t grain, void* env,
-                 ChunkFn body) const override {
+  void forChunks(util::ThreadPool&, std::int64_t begin, std::int64_t end,
+                 std::int64_t grain, void* env, ChunkFn body) const override {
     PVIZ_REQUIRE(grain > 0, "backend chunk grain must be positive");
     for (std::int64_t b = begin; b < end; b += grain) {
       body(env, b, b + grain < end ? b + grain : end);
@@ -37,9 +36,9 @@ class ThreadedBackend final : public Backend {
  public:
   BackendKind kind() const noexcept override { return BackendKind::Threaded; }
 
-  void forChunks(util::ThreadPool& pool, util::CancelToken*,
-                 std::int64_t begin, std::int64_t end, std::int64_t grain,
-                 void* env, ChunkFn body) const override {
+  void forChunks(util::ThreadPool& pool, std::int64_t begin,
+                 std::int64_t end, std::int64_t grain, void* env,
+                 ChunkFn body) const override {
     pool.parallelFor(begin, end, grain,
                      [env, body](std::int64_t b, std::int64_t e) {
                        body(env, b, e);

@@ -35,7 +35,6 @@
 
 namespace pviz::util {
 class ThreadPool;
-class CancelToken;
 }  // namespace pviz::util
 
 namespace pviz::exec {
@@ -61,12 +60,10 @@ class Backend {
 
   /// Run `body(env, chunkBegin, chunkEnd)` over [begin, end) in chunks
   /// of at most `grain` iterations and block until all complete.  The
-  /// caller's body is responsible for polling `cancel` (the parallel
-  /// primitives poll at every chunk edge); `cancel` is forwarded so a
-  /// backend may add extra poll points, and may be nullptr.
-  virtual void forChunks(util::ThreadPool& pool, util::CancelToken* cancel,
-                         std::int64_t begin, std::int64_t end,
-                         std::int64_t grain, void* env,
+  /// body polls for cancellation (the parallel primitives poll at every
+  /// chunk edge).
+  virtual void forChunks(util::ThreadPool& pool, std::int64_t begin,
+                         std::int64_t end, std::int64_t grain, void* env,
                          ChunkFn body) const = 0;
 
   /// Number of threads a loop effectively runs at under this backend on

@@ -42,8 +42,7 @@
 
 namespace pviz::exec {
 // See util/backend.h.  Forward-declared so exec_context.h stays the
-// bottom of the include graph; backend.h includes this header for
-// CancelToken.
+// bottom of the include graph.
 class Backend;
 const Backend& defaultBackend() noexcept;
 }  // namespace pviz::exec
@@ -303,9 +302,10 @@ class PhaseTracer {
 class ExecutionContext {
  public:
   /// A context over the process-global pool.  This constructor is the
-  /// ONE sanctioned production use of ThreadPool::global() outside
-  /// thread_pool.cpp — callers at the edge (tools, the Study, tests)
-  /// build one and hand it down; kernels never build their own.
+  /// one production use of ThreadPool::global() outside thread_pool.cpp:
+  /// callers at the edge (tools, the service, benches, tests) build one
+  /// and hand it down; kernels, the dataset and the hydro proxy never
+  /// build their own.
   ExecutionContext() : pool_(&ThreadPool::global()) {}
 
   /// A context over an explicitly owned pool (tests, service workers).

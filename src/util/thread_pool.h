@@ -65,9 +65,8 @@ class ThreadPool {
         });
   }
 
-  /// The process-wide pool behind the context-free parallelFor
-  /// overloads and ExecutionContext's default constructor.  New code should run on an ExecutionContext over an
-  /// explicit pool instead; tests pin pool sizes by constructing
+  /// The process-wide pool behind ExecutionContext's default
+  /// constructor, and nothing else.  Tests pin pool sizes by constructing
   /// `ThreadPool pool(n); ExecutionContext ctx(pool);`.
   static ThreadPool& global();
 

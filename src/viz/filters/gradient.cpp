@@ -67,12 +67,13 @@ GradientFilter::Result GradientFilter::run(
   return result;
 }
 
-Field vectorMagnitude(const Field& vectors, const std::string& outputName) {
+Field vectorMagnitude(util::ExecutionContext& ctx, const Field& vectors,
+                      const std::string& outputName) {
   PVIZ_REQUIRE(vectors.components() == 3,
                "vectorMagnitude needs a 3-component field");
   Field out = Field::zeros(outputName, vectors.association(), 1,
                            vectors.count());
-  util::parallelFor(0, vectors.count(), [&](Id p) {
+  util::parallelFor(ctx, 0, vectors.count(), [&](Id p) {
     out.setScalar(p, length(vectors.vec3(p)));
   });
   return out;

@@ -32,6 +32,7 @@ class GradientFilter {
 };
 
 /// Per-point magnitude of a 3-component point field.
-Field vectorMagnitude(const Field& vectors, const std::string& outputName);
+Field vectorMagnitude(util::ExecutionContext& ctx, const Field& vectors,
+                      const std::string& outputName);
 
 }  // namespace pviz::vis

@@ -7,13 +7,12 @@
 #include "util/exec_context.h"
 #include "util/parallel.h"
 #include "util/rng.h"
-#include "util/work_steal.h"
 
 namespace pviz::vis {
 namespace {
 
 // Particle status.  Only kActive particles keep integrating; everything
-// else is terminal and compacted out of the round's active list.
+// else is terminal.
 constexpr std::uint8_t kActive = 0;
 constexpr std::uint8_t kExited = 1;     // left the domain (or sample failed)
 constexpr std::uint8_t kFinished = 2;   // reached maxSteps
@@ -22,7 +21,7 @@ constexpr std::uint8_t kCompleted = 3;  // pathline crossed t = 1
 // Trajectory chunk.  Chains of these, bump-allocated from per-slot
 // arena slabs, replace per-particle std::vectors: a particle's chain
 // grows by pointer append with zero reallocation, and the blocks stay
-// address-stable so chains may span rounds and slots.  16 points ≈
+// address-stable.  16 points ≈
 // 400 B bounds the per-particle waste on short (early-exit) paths.
 constexpr std::int32_t kSegPoints = 16;
 
@@ -33,8 +32,7 @@ struct Seg {
 };
 
 /// Per-slot segment allocator over the context arena.  Not thread-safe;
-/// the schedules guarantee one slot is never run by two workers at
-/// once.  Slab acquisition goes through the (mutex-locked) arena, so
+/// the static loop never runs one slot on two workers at once.  Slab acquisition goes through the (mutex-locked) arena, so
 /// distinct slots may allocate slabs concurrently.
 class SegmentPool {
  public:
@@ -104,17 +102,13 @@ struct ParticlePool {
         tail(arena, n) {}
 };
 
-/// Integrate particle `p` until its step count reaches `untilStep`, it
-/// terminates, or (pathline) it crosses t = 1.  One RK4 step is the
-/// exact stage order and blend the filter has always used, shared
-/// verbatim by both schedules and both modes — which is the whole
-/// determinism argument: the schedule picks WHO runs this and WHEN,
-/// never what it computes.
+/// Integrate particle `p` until it reaches `maxSteps`, terminates, or
+/// (pathline) crosses t = 1.  One RK4 step is the exact stage order and
+/// blend the filter has always used, for both modes.
 template <bool kPathline, typename Sampler>
 void advanceParticle(const Sampler& sample, const Bounds& box, double h,
-                     std::int64_t maxSteps, std::int64_t untilStep,
-                     ParticlePool& particles, std::int64_t p,
-                     SegmentPool& segs) {
+                     std::int64_t maxSteps, ParticlePool& particles,
+                     std::int64_t p, SegmentPool& segs) {
   const auto u = static_cast<std::size_t>(p);
   Vec3 x = particles.pos[u];
   std::int64_t step = particles.steps[u];
@@ -122,7 +116,7 @@ void advanceParticle(const Sampler& sample, const Bounds& box, double h,
   Seg* tail = particles.tail[u];
   std::uint8_t status = kActive;
 
-  while (step < untilStep) {
+  while (step < maxSteps) {
     const double t = static_cast<double>(step) * h;
     Vec3 k1, k2, k3, k4;
     if (!sample(x, t, k1) ||
@@ -169,9 +163,6 @@ struct RunParams {
   Id maxSteps;
   double h;
   std::uint64_t rngSeed;
-  ParticleAdvectionFilter::Schedule schedule;
-  Id batchSize;
-  Id roundSteps;
 };
 
 template <bool kPathline, typename Sampler>
@@ -214,64 +205,20 @@ ParticleAdvectionFilter::Result runImpl(util::ExecutionContext& ctx,
 
   {
     util::ExecutionContext::PhaseScope phase(ctx, "rk4-advect");
-    if (params.schedule == Filter::Schedule::StaticChunk) {
-      // Baseline schedule: one contiguous span per slot, every particle
-      // integrated to completion in place.  The slowest span runs alone
-      // at the end — exactly the imbalance work stealing removes.
-      const std::int64_t grain =
-          std::max<std::int64_t>(1, (n + slots - 1) / slots);
-      util::parallelForChunks(
-          ctx, 0, n,
-          [&](std::int64_t b, std::int64_t e) {
-            SegmentPool& segs = pools[static_cast<std::size_t>(b / grain)];
-            for (std::int64_t p = b; p < e; ++p) {
-              advanceParticle<kPathline>(sample, box, h, maxSteps, maxSteps,
-                                         particles, p, segs);
-            }
-          },
-          grain);
-    } else {
-      // Work-stealing rounds: every active particle advances at most
-      // roundSteps steps per round, then terminated lanes are compacted
-      // out so the next round's batches stay dense.
-      util::ScratchVector<std::int64_t> activeA(ctx.arena(),
-                                                static_cast<std::size_t>(n));
-      util::ScratchVector<std::int64_t> activeB(ctx.arena(),
-                                                static_cast<std::size_t>(n));
-      std::int64_t* active = activeA.data();
-      std::int64_t* spare = activeB.data();
-      util::parallelFor(ctx, 0, n, [&](std::int64_t i) { active[i] = i; });
-      std::int64_t activeCount = n;
-      std::int64_t round = 0;
-      while (activeCount > 0) {
-        const std::int64_t until =
-            std::min(maxSteps, (round + 1) * params.roundSteps);
-        const util::WorkStealStats stats = util::parallelWorkSteal(
-            ctx, activeCount, params.batchSize,
-            [&](std::int64_t slot, std::int64_t b, std::int64_t e) {
-              SegmentPool& segs = pools[static_cast<std::size_t>(slot)];
-              for (std::int64_t i = b; i < e; ++i) {
-                advanceParticle<kPathline>(sample, box, h, maxSteps, until,
-                                           particles, active[i], segs);
-              }
-            });
-        result.schedulerStats.batches += stats.batches;
-        result.schedulerStats.steals += stats.steals;
-        if (until >= maxSteps) break;  // every survivor just finished
-        const std::vector<std::int64_t> kept = util::parallelSelect(
-            ctx, activeCount, [&](std::int64_t i) {
-              return particles.status[static_cast<std::size_t>(active[i])] ==
-                     kActive;
-            });
-        const auto keptCount = static_cast<std::int64_t>(kept.size());
-        util::parallelFor(ctx, 0, keptCount, [&](std::int64_t i) {
-          spare[i] = active[kept[static_cast<std::size_t>(i)]];
-        });
-        std::swap(active, spare);
-        activeCount = keptCount;
-        ++round;
-      }
-    }
+    // One contiguous span per slot, every particle integrated to
+    // completion in place.
+    const std::int64_t grain =
+        std::max<std::int64_t>(1, (n + slots - 1) / slots);
+    util::parallelForChunks(
+        ctx, 0, n,
+        [&](std::int64_t b, std::int64_t e) {
+          SegmentPool& segs = pools[static_cast<std::size_t>(b / grain)];
+          for (std::int64_t p = b; p < e; ++p) {
+            advanceParticle<kPathline>(sample, box, h, maxSteps, particles, p,
+                                       segs);
+          }
+        },
+        grain);
   }
 
   result.totalSteps = util::parallelReduce(
@@ -360,7 +307,7 @@ ParticleAdvectionFilter::Result runImpl(util::ExecutionContext& ctx,
   advect.bytesStreamed = steps * 2 * 24 +  // streamline output + sparse pulls
                          static_cast<double>(params.seeds) * 64;
   advect.irregularAccesses = steps * 0.3;  // occasional new cache line
-  advect.parallelFraction = 0.995;  // particles schedule in fine batches
+  advect.parallelFraction = 0.995;  // particles are independent
   advect.overlap = 0.55;            // dependent FP chain per step
 
   WorkProfile& assemble = result.profile.addPhase("assemble-lines");
@@ -404,28 +351,15 @@ ParticleAdvectionFilter::Mode ParticleAdvectionFilter::parseMode(
                     "' (expected streamline|pathline)");
 }
 
-ParticleAdvectionFilter::Schedule ParticleAdvectionFilter::parseSchedule(
-    const std::string& token) {
-  if (token == "worksteal") return Schedule::WorkSteal;
-  if (token == "static") return Schedule::StaticChunk;
-  throw Error("unknown advection schedule '" + token +
-                    "' (expected worksteal|static)");
-}
-
 const char* ParticleAdvectionFilter::modeToken(Mode mode) {
   return mode == Mode::Streamline ? "streamline" : "pathline";
-}
-
-const char* ParticleAdvectionFilter::scheduleToken(Schedule schedule) {
-  return schedule == Schedule::WorkSteal ? "worksteal" : "static";
 }
 
 ParticleAdvectionFilter::Result ParticleAdvectionFilter::run(
     util::ExecutionContext& ctx, const UniformGrid& grid,
     const std::string& fieldName) const {
   const Field& field = requirePointVectorField(grid, fieldName);
-  const RunParams params{seeds_,    maxSteps_,  stepLength_, rngSeed_,
-                         schedule_, batchSize_, roundSteps_};
+  const RunParams params{seeds_, maxSteps_, stepLength_, rngSeed_};
   return runImpl<false>(ctx, grid, StreamlineSampler{grid, field},
                         field.sizeBytes(), params);
 }
@@ -435,8 +369,7 @@ ParticleAdvectionFilter::Result ParticleAdvectionFilter::run(
     const std::string& beginField, const std::string& endField) const {
   const Field& fb = requirePointVectorField(grid, beginField);
   const Field& fe = requirePointVectorField(grid, endField);
-  const RunParams params{seeds_,    maxSteps_,  stepLength_, rngSeed_,
-                         schedule_, batchSize_, roundSteps_};
+  const RunParams params{seeds_, maxSteps_, stepLength_, rngSeed_};
   return runImpl<true>(ctx, grid, PathlineSampler{grid, fb, fe},
                        fb.sizeBytes() + fe.sizeBytes(), params);
 }

@@ -15,18 +15,9 @@
 //     `begin` and `end` fields at each RK4 stage, and a particle
 //     completes when it crosses t = 1.
 //
-// Two schedules over the same per-particle math (outputs bit-identical
-// by construction — the schedule only decides who integrates which
-// particle when):
-//   * work-steal (default) — particles advance in batches of bounded
-//     RK4 rounds through util::parallelWorkSteal; terminated lanes are
-//     compacted out between rounds so batches stay dense, and idle
-//     workers steal half-batches from busy ones.  This is the schedule
-//     that survives early-termination-heavy seed sets, where static
-//     chunking leaves the slowest chunk running alone.
-//   * static-chunk — one contiguous particle span per worker, each
-//     particle integrated to completion; the PR 3–7 era schedule, kept
-//     as the comparison baseline for the flow benchmarks.
+// Particles are integrated to completion in one static-chunk loop, one
+// contiguous particle span per worker slot (DESIGN.md §12 has the
+// measurements that chose it).
 //
 // Particle state lives in SoA pools and trajectories in chunked segment
 // lists, both on the ExecutionContext ScratchArena; the final
@@ -38,7 +29,7 @@
 #include <cstdint>
 #include <string>
 
-#include "util/work_steal.h"
+#include "util/error.h"
 #include "viz/dataset/explicit_mesh.h"
 #include "viz/dataset/uniform_grid.h"
 #include "viz/worklet/work_profile.h"
@@ -52,14 +43,12 @@ namespace pviz::vis {
 class ParticleAdvectionFilter {
  public:
   enum class Mode { Streamline, Pathline };
-  enum class Schedule { WorkSteal, StaticChunk };
 
   struct Result {
     PolylineSet streamlines;      ///< traced lines (pathlines too)
     std::int64_t totalSteps = 0;  ///< RK4 steps actually taken
     std::int64_t terminated = 0;  ///< particles that left the domain
     std::int64_t completed = 0;   ///< pathline particles that reached t = 1
-    util::WorkStealStats schedulerStats;  ///< timing-dependent; not output
     KernelProfile profile;
   };
 
@@ -79,23 +68,10 @@ class ParticleAdvectionFilter {
     stepLength_ = h;
   }
   void setSeedRngSeed(std::uint64_t s) { rngSeed_ = s; }
-  void setSchedule(Schedule s) { schedule_ = s; }
-  /// Particles per steal batch (work-steal schedule only).
-  void setBatchSize(Id particles) {
-    PVIZ_REQUIRE(particles >= 1, "batch must hold at least one particle");
-    batchSize_ = particles;
-  }
-  /// RK4 steps per round before terminated lanes are compacted out
-  /// (work-steal schedule only).
-  void setRoundSteps(Id steps) {
-    PVIZ_REQUIRE(steps >= 1, "need at least one step per round");
-    roundSteps_ = steps;
-  }
 
   Id seedCount() const { return seeds_; }
   Id maxSteps() const { return maxSteps_; }
   double stepLength() const { return stepLength_; }
-  Schedule schedule() const { return schedule_; }
 
   /// Streamline advection through point vector field `fieldName`
   /// (3 components).
@@ -115,18 +91,13 @@ class ParticleAdvectionFilter {
   static Vec3 seedPosition(const Bounds& box, std::uint64_t rngSeed, Id index);
 
   static Mode parseMode(const std::string& token);
-  static Schedule parseSchedule(const std::string& token);
   static const char* modeToken(Mode mode);
-  static const char* scheduleToken(Schedule schedule);
 
  private:
   Id seeds_ = 1000;
   Id maxSteps_ = 1000;
   double stepLength_ = 0.001;
   std::uint64_t rngSeed_ = 42;
-  Schedule schedule_ = Schedule::WorkSteal;
-  Id batchSize_ = 256;
-  Id roundSteps_ = 64;
 };
 
 }  // namespace pviz::vis

@@ -1,7 +1,12 @@
 // CloverLeaf-like hydrodynamics proxy tests.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/cloverleaf.h"
+
+#include "util/exec_context.h"
+#include "util/thread_pool.h"
 
 namespace pviz::sim {
 namespace {
@@ -47,10 +52,11 @@ TEST(CloverLeaf, DensityStaysPositive) {
 }
 
 TEST(CloverLeaf, TimeAdvancesWithPositiveSteps) {
-  CloverLeaf clover(8);
+  util::ExecutionContext ctx;
+  CloverLeaf clover(ctx, 8);
   double last = 0.0;
   for (int i = 0; i < 10; ++i) {
-    const double dt = clover.step();
+    const double dt = clover.step(ctx);
     EXPECT_GT(dt, 0.0);
     EXPECT_GT(clover.time(), last);
     last = clover.time();
@@ -96,9 +102,10 @@ TEST(CloverLeaf, DeterministicEvolution) {
 }
 
 TEST(CloverLeaf, ExportForVizHasExpectedFields) {
-  CloverLeaf clover(8);
-  clover.run(5);
-  const vis::UniformGrid grid = clover.exportForViz();
+  util::ExecutionContext ctx;
+  CloverLeaf clover(ctx, 8);
+  clover.run(ctx, 5);
+  const vis::UniformGrid grid = clover.exportForViz(ctx);
   EXPECT_EQ(grid.numCells(), 8 * 8 * 8);
   ASSERT_TRUE(grid.hasField("energy"));
   ASSERT_TRUE(grid.hasField("velocity"));
@@ -110,18 +117,30 @@ TEST(CloverLeaf, ExportForVizHasExpectedFields) {
   EXPECT_GT(hi, lo);
 }
 
-TEST(CloverLeaf, ProfileAccumulatesAndResets) {
-  CloverLeaf clover(8);
-  clover.run(3);
-  vis::KernelProfile p = clover.takeProfile();
+TEST(HydroProfile, OnePhasePerStepInClosedForm) {
+  const vis::KernelProfile p = hydroProfile(8, 3);
   EXPECT_EQ(p.kernel, "cloverleaf");
-  EXPECT_EQ(p.phases.size(), 3u);  // one phase per step
-  EXPECT_GT(p.totalInstructions(), 0.0);
-  // Taking the profile resets the accumulator.
-  vis::KernelProfile empty = clover.takeProfile();
-  EXPECT_TRUE(empty.phases.empty());
-  clover.step();
-  EXPECT_EQ(clover.takeProfile().phases.size(), 1u);
+  EXPECT_EQ(p.elements, 8 * 8 * 8);
+  ASSERT_EQ(p.phases.size(), 3u);  // one phase per step
+  const double cells = 8.0 * 8 * 8;
+  const double nodes = 9.0 * 9 * 9;
+  for (const vis::WorkProfile& phase : p.phases) {
+    EXPECT_EQ(phase.name, "hydro-step");
+    EXPECT_EQ(phase.flops, cells * 190 + nodes * 70);
+    EXPECT_EQ(phase.bytesStreamed, cells * 8 * 14 + nodes * 8 * 6);
+    EXPECT_EQ(phase.workingSetBytes, cells * 8 * 6);
+  }
+  EXPECT_TRUE(hydroProfile(8, 0).phases.empty());
+}
+
+TEST(HydroProfile, RejectsTinyGridsLikeTheProxy) {
+  try {
+    hydroProfile(3, 1);
+    FAIL() << "expected pviz::Error";
+  } catch (const pviz::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("CloverLeaf needs at least 4^3 cells"),
+              std::string::npos);
+  }
 }
 
 TEST(CloverLeaf, RejectsTinyGrids) {
@@ -158,6 +177,13 @@ TEST(MakeCloverField, FrontParameterMovesTheBlast) {
   };
   EXPECT_GT(hotFraction(far), hotFraction(near) + 0.2);
   EXPECT_THROW(makeCloverField(12, 2.0), pviz::Error);
+}
+
+TEST(MakeCloverField, CancelledContextStopsTheBuild) {
+  util::ThreadPool pool(2);
+  util::ExecutionContext ctx(pool);
+  ctx.cancel().cancelAfterPolls(3);
+  EXPECT_THROW(makeCloverField(ctx, 128), util::CancelledError);
 }
 
 TEST(MakeCloverField, DeterministicAndSizeIndependentStructure) {

@@ -84,12 +84,13 @@ TEST(Convergence, Rk4ReturnsToStartOnClosedOrbits) {
 // CloverLeaf golden regression: the first steps of the standard blast
 // problem at 12^3 must not drift between releases.
 TEST(Regression, CloverLeafGoldenValues) {
-  sim::CloverLeaf clover(12);
-  const double dt0 = clover.step();
+  util::ExecutionContext ctx;
+  sim::CloverLeaf clover(ctx, 12);
+  const double dt0 = clover.step(ctx);
   // CFL-limited first step: h / (cfl-adjusted max soundspeed).
   // c_max = sqrt(1.4 * 0.4 * 1.0 * 2.5) = sqrt(1.4) ~ 1.1832.
   EXPECT_NEAR(dt0, 0.5 * (1.0 / 12.0) / std::sqrt(1.4), 1e-9);
-  clover.run(9);
+  clover.run(ctx, 9);
   EXPECT_EQ(clover.stepCount(), 10);
   // Mass is exactly the initial mass.
   const double expectedMass =
@@ -114,10 +115,11 @@ TEST(Regression, CloverLeafGoldenValues) {
 // The analytic clover field approximates the simulated one: both have
 // a hot corner and an ambient far side.
 TEST(Regression, AnalyticFieldMatchesSimulatedStructure) {
-  sim::CloverLeaf clover(16);
-  clover.run(15);  // early enough that the corner is still clearly hot
-  const vis::UniformGrid simulated = clover.exportForViz();
-  const vis::UniformGrid analytic = sim::makeCloverField(16, 0.3);
+  util::ExecutionContext ctx;
+  sim::CloverLeaf clover(ctx, 16);
+  clover.run(ctx, 15);  // early enough that the corner is still clearly hot
+  const vis::UniformGrid simulated = clover.exportForViz(ctx);
+  const vis::UniformGrid analytic = sim::makeCloverField(ctx, 16, 0.3);
   // The blast energy concentrates in the near-corner octant; compare
   // octant maxima (pointwise values are sensitive to expansion cooling).
   auto octantMaxima = [](const vis::UniformGrid& g) {

@@ -131,7 +131,7 @@ TEST(CostModel, PowerIsMonotoneInFrequency) {
   for (const auto& kernel : {computeKernel(), memoryKernel()}) {
     double last = 0.0;
     for (double f = 0.5; f <= 2.6; f += 0.1) {
-      const double watts = m.phasePower(kernel, f);
+      const double watts = m.phaseCost(kernel, f).powerWatts;
       ASSERT_GE(watts, last - 1e-9) << "f=" << f;
       last = watts;
     }
@@ -140,15 +140,15 @@ TEST(CostModel, PowerIsMonotoneInFrequency) {
 
 TEST(CostModel, ComputeKernelsDrawMoreThanMemoryKernels) {
   const CostModel m = model();
-  EXPECT_GT(m.phasePower(computeKernel(), 2.6),
-            m.phasePower(memoryKernel(), 2.6) + 5.0);
+  EXPECT_GT(m.phaseCost(computeKernel(), 2.6).powerWatts,
+            m.phaseCost(memoryKernel(), 2.6).powerWatts + 5.0);
 }
 
 TEST(CostModel, PowerStaysWithinPackageEnvelope) {
   const CostModel m = model();
   for (const auto& kernel : {computeKernel(), memoryKernel()}) {
     for (double f = 0.5; f <= 2.6; f += 0.3) {
-      const double watts = m.phasePower(kernel, f);
+      const double watts = m.phaseCost(kernel, f).powerWatts;
       ASSERT_GT(watts, 5.0);
       ASSERT_LT(watts, m.machine().tdpWatts * 1.1);
     }

@@ -83,7 +83,7 @@ TEST(BackendDispatch, CoversRangeExactlyOnceWithGrainBound) {
     SumEnv env;
     env.data.resize(kN);
     std::iota(env.data.begin(), env.data.end(), std::int64_t{1});
-    exec::backendFor(kind).forChunks(pool, nullptr, 0, kN, kGrain, &env,
+    exec::backendFor(kind).forChunks(pool, 0, kN, kGrain, &env,
                                      &sumChunk);
     EXPECT_EQ(env.sum, kN * (kN + 1) / 2) << exec::backendToken(kind);
     EXPECT_EQ(env.chunks, (kN + kGrain - 1) / kGrain);
@@ -95,7 +95,7 @@ TEST(BackendDispatch, EmptyRangeRunsNothing) {
   util::ThreadPool pool(2);
   for (BackendKind kind : {BackendKind::Serial, BackendKind::Threaded}) {
     SumEnv env;
-    exec::backendFor(kind).forChunks(pool, nullptr, 5, 5, 64, &env, &sumChunk);
+    exec::backendFor(kind).forChunks(pool, 5, 5, 64, &env, &sumChunk);
     EXPECT_EQ(env.chunks, 0) << exec::backendToken(kind);
   }
 }

@@ -90,18 +90,19 @@ TEST(Gradient, ProfileIsStreaming) {
 }
 
 TEST(VectorMagnitude, ComputesLengths) {
+  util::ExecutionContext ctx;
   Field v = Field::zeros("v", Association::Points, 3, 3);
   v.setVec3(0, {3, 4, 0});
   v.setVec3(1, {0, 0, 0});
   v.setVec3(2, {1, 2, 2});
-  const Field mag = vectorMagnitude(v, "speed");
+  const Field mag = vectorMagnitude(ctx, v, "speed");
   EXPECT_EQ(mag.name(), "speed");
   EXPECT_EQ(mag.components(), 1);
   EXPECT_DOUBLE_EQ(mag.value(0), 5.0);
   EXPECT_DOUBLE_EQ(mag.value(1), 0.0);
   EXPECT_DOUBLE_EQ(mag.value(2), 3.0);
   Field scalar("s", Association::Points, 1, {1.0});
-  EXPECT_THROW(vectorMagnitude(scalar, "x"), Error);
+  EXPECT_THROW(vectorMagnitude(ctx, scalar, "x"), Error);
 }
 
 TEST(Histogram, UniformRampFillsBinsEvenly) {

@@ -154,19 +154,22 @@ std::int64_t serialScanReference(std::vector<std::int64_t>& counts) {
 
 TEST(ExclusiveScan, EmptyArray) {
   std::vector<std::int64_t> counts;
-  EXPECT_EQ(util::exclusiveScan(counts), 0);
+  util::ExecutionContext ctx;
+  EXPECT_EQ(util::exclusiveScan(ctx, counts), 0);
   EXPECT_TRUE(counts.empty());
 }
 
 TEST(ExclusiveScan, SingleElement) {
   std::vector<std::int64_t> counts{7};
-  EXPECT_EQ(util::exclusiveScan(counts), 7);
+  util::ExecutionContext ctx;
+  EXPECT_EQ(util::exclusiveScan(ctx, counts), 7);
   EXPECT_EQ(counts[0], 0);
 }
 
 TEST(ExclusiveScan, AllZeros) {
   std::vector<std::int64_t> counts(100000, 0);
-  EXPECT_EQ(util::exclusiveScan(counts), 0);
+  util::ExecutionContext ctx;
+  EXPECT_EQ(util::exclusiveScan(ctx, counts), 0);
   for (std::int64_t c : counts) EXPECT_EQ(c, 0);
 }
 
@@ -457,9 +460,7 @@ UniformGrid velocityGrid(Id3 pointDims, F&& velocity) {
 }
 
 TEST(KernelDeterminism, AdvectionStreamlineAcrossConfigs) {
-  // The work-stealing schedule must be a pure scheduling choice: every
-  // backend × pool size — and therefore every steal interleaving —
-  // byte-identical to the serial reference.
+  // Every backend × pool size byte-identical to the serial reference.
   const UniformGrid g = sim::makeCloverField(16);
   ParticleAdvectionFilter filter;
   filter.setSeedCount(300);
@@ -476,33 +477,20 @@ TEST(KernelDeterminism, AdvectionStreamlineAcrossConfigs) {
   }
 }
 
-TEST(KernelDeterminism, AdvectionScheduleAndBatchInvariant) {
-  // Static chunking, work stealing, and any batch/round granularity
-  // must agree bit-for-bit: the per-particle integration is shared, the
-  // knobs only re-cut who runs what.
+TEST(KernelDeterminism, AdvectionUnevenSplitInvariant) {
+  // 257 seeds cut unevenly over three slots: each slot's span and its
+  // segment pool must still reproduce the serial reference bit for bit.
   const UniformGrid g = sim::makeCloverField(16);
-  auto run = [&](ParticleAdvectionFilter::Schedule schedule, Id batch,
-                 Id roundSteps) {
-    return withPool(3, [&](util::ExecutionContext& ctx) {
-      ParticleAdvectionFilter filter;
-      filter.setSeedCount(257);
-      filter.setMaxSteps(90);
-      filter.setStepLength(0.01);
-      filter.setSchedule(schedule);
-      filter.setBatchSize(batch);
-      filter.setRoundSteps(roundSteps);
-      return filter.run(ctx, g, "velocity").streamlines;
-    });
+  auto run = [&](util::ExecutionContext& ctx) {
+    ParticleAdvectionFilter filter;
+    filter.setSeedCount(257);
+    filter.setMaxSteps(90);
+    filter.setStepLength(0.01);
+    return filter.run(ctx, g, "velocity").streamlines;
   };
-  const PolylineSet reference =
-      run(ParticleAdvectionFilter::Schedule::WorkSteal, 256, 64);
+  const PolylineSet reference = serialReference(run);
   EXPECT_GT(reference.numLines(), 0);
-  expectIdentical(run(ParticleAdvectionFilter::Schedule::StaticChunk, 256, 64),
-                  reference);
-  expectIdentical(run(ParticleAdvectionFilter::Schedule::WorkSteal, 7, 5),
-                  reference);
-  expectIdentical(run(ParticleAdvectionFilter::Schedule::WorkSteal, 1, 1),
-                  reference);
+  expectIdentical(withPool(3, run), reference);
 }
 
 TEST(KernelDeterminism, AdvectionPathlineAcrossConfigs) {

@@ -123,10 +123,8 @@ TEST_P(ModelGoldenTest, SweepOverrideAndAdvisorDigestsMatch) {
   EXPECT_EQ(overridden.hex(), golden.overrides);
 
   PowerAdvisor advisor(config.machine);
-  sim::CloverLeaf clover(n);
-  clover.run(5);
   const vis::KernelProfile simKernel =
-      scaleKernelWork(clover.takeProfile(), config.workScale);
+      scaleKernelWork(sim::hydroProfile(n, 5), config.workScale);
   Fnv1a64 advice;
   for (Algorithm algorithm : allAlgorithms()) {
     const vis::KernelProfile vizKernel = scaleKernelWork(
@@ -158,10 +156,8 @@ TEST_P(ModelGoldenTest, IdealGovernorAndWideAdvisorDigestsMatch) {
                        .meterIntervalSeconds = 0.1,
                        .idealGovernor = true});
   PowerAdvisor advisor(config.machine);
-  sim::CloverLeaf clover(n);
-  clover.run(5);
   const vis::KernelProfile simKernel =
-      scaleKernelWork(clover.takeProfile(), config.workScale);
+      scaleKernelWork(sim::hydroProfile(n, 5), config.workScale);
 
   Fnv1a64 measurements;
   Fnv1a64 advice;

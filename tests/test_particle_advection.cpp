@@ -191,11 +191,6 @@ TEST(ParticleAdvection, ZeroSeedsYieldCanonicalEmptyPolylineSet) {
   EXPECT_TRUE(result.streamlines.points.empty());
   EXPECT_TRUE(result.streamlines.pointScalars.empty());
   EXPECT_EQ(result.totalSteps, 0);
-
-  // Same shape on every schedule — no worker ever claims a particle.
-  filter.setSchedule(ParticleAdvectionFilter::Schedule::StaticChunk);
-  const auto stat = filter.run(ctx, g, "velocity");
-  EXPECT_EQ(stat.streamlines.offsets, (std::vector<Id>{0}));
 }
 
 TEST(ParticleAdvection, SingleSeedTracesExactlyOneLine) {
@@ -235,24 +230,6 @@ TEST(ParticleAdvection, ProfileCountsTrackSteps) {
   const auto& advect = result.profile.phases.front();
   EXPECT_DOUBLE_EQ(advect.flops,
                    static_cast<double>(result.totalSteps) * (4 * 158 + 56));
-}
-
-TEST(ParticleAdvection, StaticScheduleMatchesWorkSteal) {
-  util::ExecutionContext ctx;
-  const UniformGrid g = rotationFlow(10);
-  ParticleAdvectionFilter filter;
-  filter.setSeedCount(50);
-  filter.setMaxSteps(60);
-  const auto worksteal = filter.run(ctx, g, "velocity");
-  filter.setSchedule(ParticleAdvectionFilter::Schedule::StaticChunk);
-  const auto stat = filter.run(ctx, g, "velocity");
-  EXPECT_EQ(worksteal.totalSteps, stat.totalSteps);
-  EXPECT_EQ(worksteal.terminated, stat.terminated);
-  ASSERT_EQ(worksteal.streamlines.points.size(), stat.streamlines.points.size());
-  EXPECT_EQ(worksteal.streamlines.offsets, stat.streamlines.offsets);
-  for (std::size_t i = 0; i < worksteal.streamlines.points.size(); ++i) {
-    EXPECT_EQ(worksteal.streamlines.points[i], stat.streamlines.points[i]);
-  }
 }
 
 TEST(ParticleAdvection, PathlineIdenticalFieldsMatchStreamline) {
@@ -347,16 +324,12 @@ TEST(ParticleAdvection, CounterBasedSeedingIsPerIndex) {
   EXPECT_TRUE(box.contains(a));
 }
 
-TEST(ParticleAdvection, ParsesModeAndScheduleTokens) {
+TEST(ParticleAdvection, ParsesModeTokens) {
   using Filter = ParticleAdvectionFilter;
   EXPECT_EQ(Filter::parseMode("streamline"), Filter::Mode::Streamline);
   EXPECT_EQ(Filter::parseMode("pathline"), Filter::Mode::Pathline);
-  EXPECT_EQ(Filter::parseSchedule("worksteal"), Filter::Schedule::WorkSteal);
-  EXPECT_EQ(Filter::parseSchedule("static"), Filter::Schedule::StaticChunk);
   EXPECT_STREQ(Filter::modeToken(Filter::Mode::Pathline), "pathline");
-  EXPECT_STREQ(Filter::scheduleToken(Filter::Schedule::StaticChunk), "static");
   EXPECT_THROW(Filter::parseMode("spiral"), Error);
-  EXPECT_THROW(Filter::parseSchedule("greedy"), Error);
 }
 
 }  // namespace

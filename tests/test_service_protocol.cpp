@@ -122,7 +122,6 @@ void expectRequestRoundTrip(const Request& request) {
   EXPECT_EQ(parsed.advectSeeds, request.advectSeeds);
   EXPECT_EQ(parsed.advectSteps, request.advectSteps);
   EXPECT_EQ(parsed.advectMode, request.advectMode);
-  EXPECT_EQ(parsed.advectSchedule, request.advectSchedule);
   EXPECT_EQ(parsed.blocks, request.blocks);
   EXPECT_EQ(parsed.ghost, request.ghost);
 }
@@ -213,7 +212,6 @@ TEST(Protocol, AdvectOverridesRoundTrip) {
   request.advectSeeds = 5000;
   request.advectSteps = 250;
   request.advectMode = "pathline";
-  request.advectSchedule = "static";
   expectRequestRoundTrip(request);
   // Unset overrides (the defaults) stay off the wire entirely.
   Request plain;
@@ -229,14 +227,15 @@ TEST(Protocol, AdvectOverridesRoundTrip) {
           R"({"op":"characterize","algorithm":"advection","size":64,)"
           R"("advect_mode":"sideways"})")),
       Error);
-  EXPECT_THROW(
-      requestFromJson(Json::parse(
-          R"({"op":"characterize","algorithm":"advection","size":64,)"
-          R"("advect_schedule":"greedy"})")),
-      Error);
+  // The retired advect_schedule field is an unknown key like any other:
+  // ignored, so the request keys the same cache entry as one without it.
+  const Request retired = requestFromJson(Json::parse(
+      R"({"op":"characterize","algorithm":"advection","size":64,)"
+      R"("advect_schedule":"worksteal"})"));
+  EXPECT_EQ(canonicalCacheKey(retired), canonicalCacheKey(plain));
 }
 
-TEST(Protocol, CacheKeyCoversAdvectOverridesButNotSchedule) {
+TEST(Protocol, CacheKeyCoversAdvectOverrides) {
   Request a;
   a.op = Op::Characterize;
   a.algorithm = core::Algorithm::ParticleAdvection;
@@ -251,11 +250,6 @@ TEST(Protocol, CacheKeyCoversAdvectOverridesButNotSchedule) {
   b = a;
   b.advectMode = "pathline";
   EXPECT_NE(canonicalCacheKey(a), canonicalCacheKey(b));
-  // The schedule is bit-identical by contract — like the backend, it
-  // must share the cache entry.
-  b = a;
-  b.advectSchedule = "static";
-  EXPECT_EQ(canonicalCacheKey(a), canonicalCacheKey(b));
 }
 
 TEST(Protocol, BlockOverridesRoundTrip) {
@@ -382,8 +376,31 @@ TEST(Protocol, IntegerFieldsRejectOutOfRangeAndFractionalValues) {
             std::string::npos);
   EXPECT_NE(errorFor(study + R"("cycles":-1})").find("cycles"),
             std::string::npos);
+  // A budget models one profile phase per hydro step, so the step count
+  // is bounded well below int.
   EXPECT_NE(errorFor(budget + R"("sim_steps":1e12})").find(
-                "sim_steps must be an integer in [0, 2147483647]"),
+                "sim_steps must be an integer in [0, 10000]"),
+            std::string::npos);
+  EXPECT_NE(errorFor(budget + R"("sim_steps":10001})").find("sim_steps"),
+            std::string::npos);
+  // Trace and span ids must be exact in a double: [0, 2^53 - 1].
+  for (const char* key : {"trace_id", "parent_span"}) {
+    SCOPED_TRACE(key);
+    const std::string field = std::string(R"({"op":"ping",")") + key + "\":";
+    EXPECT_NE(errorFor(field + "1e30}").find(
+                  std::string(key) +
+                  " must be an integer in [0, 9007199254740991]"),
+              std::string::npos);
+    EXPECT_NE(errorFor(field + "2.5}").find(key), std::string::npos);
+    EXPECT_NE(errorFor(field + "-1}").find(key), std::string::npos);
+    EXPECT_NE(errorFor(field + "9007199254740992}").find(key),
+              std::string::npos);
+  }
+  EXPECT_NE(errorFor(R"({"op":"heartbeat","seq":1e30})").find(
+                "seq must be an integer in [-9223372036854775808, "
+                "9223372036854775807]"),
+            std::string::npos);
+  EXPECT_NE(errorFor(R"({"op":"heartbeat","seq":2.5})").find("seq"),
             std::string::npos);
   EXPECT_NE(errorFor(classify + R"("advect_seeds":1e30})").find(
                 "advect_seeds must be an integer in [0, 9223372036854775807]"),
@@ -418,6 +435,15 @@ TEST(Protocol, IntegerFieldsRejectOutOfRangeAndFractionalValues) {
   EXPECT_EQ(
       requestFromJson(Json::parse(R"({"op":"events","limit":25})")).eventsLimit,
       25);
+  EXPECT_EQ(requestFromJson(Json::parse(budget + R"("sim_steps":10000})"))
+                .simSteps,
+            10000);
+  const Request traced = requestFromJson(Json::parse(
+      R"({"op":"ping","trace_id":9007199254740991,"parent_span":7})"));
+  EXPECT_EQ(traced.traceId, 9007199254740991ull);
+  EXPECT_EQ(traced.parentSpan, 7u);
+  EXPECT_EQ(
+      requestFromJson(Json::parse(R"({"op":"heartbeat","seq":-5})")).seq, -5);
 }
 
 // --- Responses ------------------------------------------------------------

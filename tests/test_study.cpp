@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/study.h"
+#include "golden_digest.h"
 #include "util/backend.h"
 #include "util/exec_context.h"
 #include "util/thread_pool.h"
@@ -39,10 +40,34 @@ TEST(Study, ValidatesConfiguration) {
 
 TEST(Study, DatasetIsMemoized) {
   Study study(smallConfig());
-  const vis::UniformGrid& a = study.dataset(8);
-  const vis::UniformGrid& b = study.dataset(8);
+  util::ExecutionContext ctx;
+  const vis::UniformGrid& a = study.dataset(ctx, 8);
+  const vis::UniformGrid& b = study.dataset(ctx, 8);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.numCells(), 8 * 8 * 8);
+  // Only the build runs under a "dataset" phase; the hit opens none.
+  ASSERT_EQ(ctx.tracer().phases().size(), 1u);
+  EXPECT_EQ(ctx.tracer().phases()[0].name, "dataset");
+}
+
+TEST(Study, CancelledDatasetBuildLeavesNoEntry) {
+  Study study(smallConfig());
+  util::ThreadPool pool(2);
+  util::ExecutionContext cancelled(pool);
+  cancelled.cancel().cancelAfterPolls(3);
+  EXPECT_THROW(study.dataset(cancelled, 32), util::CancelledError);
+  ASSERT_EQ(cancelled.tracer().phases().size(), 1u);
+  EXPECT_TRUE(cancelled.tracer().phases()[0].cancelled);
+
+  // The next call builds the whole dataset: the golden digest of
+  // makeCloverField at n = 32 (test_kernel_golden.cpp).
+  util::ExecutionContext ctx(pool);
+  ctx.setBackend(exec::serialBackend());
+  const vis::UniformGrid& g = study.dataset(ctx, 32);
+  pviz::testing::Fnv1a64 h;
+  h.add(g.field("energy").data());
+  h.add(g.field("velocity").data());
+  EXPECT_EQ(h.hex(), "75c6220a164b3b92");
 }
 
 // Every field of two measurements, compared bit for bit.
@@ -147,18 +172,8 @@ TEST(Study, MemoIsKeyedOnTheProfileRelevantParams) {
   study.capSweep(ctx, Algorithm::Contour, 8, {120.0}, 1);
   EXPECT_NO_THROW(study.characterize(cancelled, Algorithm::Contour, 8, params));
 
-  // Schedules are bit-identical, so they share an entry...
-  AlgorithmParams fixed = params;
-  fixed.advectionSchedule = "static";
-  AlgorithmParams stolen = params;
-  stolen.advectionSchedule = "worksteal";
-  const vis::KernelProfile& a =
-      study.characterize(ctx, Algorithm::ParticleAdvection, 8, fixed);
-  EXPECT_EQ(&a, &study.characterize(cancelled, Algorithm::ParticleAdvection,
-                                    8, stolen));
-
-  // ...while a decomposition or a threshold band changes the profile and
-  // must not.
+  // A decomposition or a threshold band changes the profile and must
+  // not share an entry.
   AlgorithmParams blocks = params;
   blocks.blockCount += 1;
   EXPECT_THROW(study.characterize(cancelled, Algorithm::Contour, 8, blocks),

@@ -93,7 +93,8 @@ TEST(ThreadPool, ManySequentialLoops) {
 
 TEST(ParallelFor, IndexConvenienceWrapper) {
   std::vector<int> hits(5000, 0);
-  parallelFor(0, 5000, [&](std::int64_t i) {
+  ExecutionContext ctx;
+  parallelFor(ctx, 0, 5000, [&](std::int64_t i) {
     hits[static_cast<std::size_t>(i)] += 1;
   });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 5000);
@@ -101,15 +102,17 @@ TEST(ParallelFor, IndexConvenienceWrapper) {
 
 TEST(ParallelReduce, SumsCorrectly) {
   const std::int64_t n = 123457;
+  ExecutionContext ctx;
   const auto total = parallelReduce<std::int64_t>(
-      0, n, 0, [](std::int64_t acc, std::int64_t i) { return acc + i; },
+      ctx, 0, n, 0, [](std::int64_t acc, std::int64_t i) { return acc + i; },
       [](std::int64_t a, std::int64_t b) { return a + b; });
   EXPECT_EQ(total, n * (n - 1) / 2);
 }
 
 TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
+  ExecutionContext ctx;
   const auto total = parallelReduce<int>(
-      10, 10, 42, [](int acc, std::int64_t) { return acc + 1; },
+      ctx, 10, 10, 42, [](int acc, std::int64_t) { return acc + 1; },
       [](int a, int b) { return a + b; });
   EXPECT_EQ(total, 42);
 }
@@ -129,9 +132,10 @@ TEST(ParallelReduce, FloatingPointSumIsBitReproducible) {
     v = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-8.0, 8.0));
   }
 
+  ExecutionContext ctx;
   auto reduceOnce = [&] {
     return parallelReduce<double>(
-        0, kCount, 0.0,
+        ctx, 0, kCount, 0.0,
         [&](double acc, std::int64_t i) {
           return acc + values[static_cast<std::size_t>(i)];
         },
@@ -151,10 +155,11 @@ TEST(ParallelReduce, FloatingPointSumIsBitReproducible) {
 // awkward (count, grain) pair must still visit every index exactly once
 // and combine every chunk.
 TEST(ParallelReduce, ChunkIndexingCoversAwkwardRanges) {
+  ExecutionContext ctx;
   for (const std::int64_t grain : {1, 3, 97, 4096}) {
     const std::int64_t n = 12345;
     const auto total = parallelReduce<std::int64_t>(
-        -7, n, 0, [](std::int64_t acc, std::int64_t i) { return acc + i; },
+        ctx, -7, n, 0, [](std::int64_t acc, std::int64_t i) { return acc + i; },
         [](std::int64_t a, std::int64_t b) { return a + b; }, grain);
     EXPECT_EQ(total, (n - 1) * n / 2 - 28) << "grain " << grain;
   }
@@ -162,14 +167,16 @@ TEST(ParallelReduce, ChunkIndexingCoversAwkwardRanges) {
 
 TEST(ExclusiveScan, BasicAndTotal) {
   std::vector<std::int64_t> counts = {3, 0, 5, 2};
-  const std::int64_t total = exclusiveScan(counts);
+  ExecutionContext ctx;
+  const std::int64_t total = exclusiveScan(ctx, counts);
   EXPECT_EQ(total, 10);
   EXPECT_EQ(counts, (std::vector<std::int64_t>{0, 3, 3, 8}));
 }
 
 TEST(ExclusiveScan, EmptyVector) {
   std::vector<std::int64_t> counts;
-  EXPECT_EQ(exclusiveScan(counts), 0);
+  ExecutionContext ctx;
+  EXPECT_EQ(exclusiveScan(ctx, counts), 0);
 }
 
 // Property sweep: chunk boundaries cover the range for many (size, grain)

@@ -179,11 +179,8 @@ if backends:
     }
 
 # Flow table: BM_AdvectFlow/<column>/<particles> rows fold into one row
-# per particle count — the legacy/static/worksteal milliseconds, the
-# work-steal RK4 step rate, the schedule speedup (static over worksteal)
-# and the pipeline speedup (legacy over worksteal).  On a single-core
-# host the two schedule columns coincide by construction; the schedule
-# speedup only separates from 1.0 with workers to steal between.
+# per particle count — the legacy/static milliseconds and RK4 step
+# rates, and the pipeline speedup (legacy over static).
 flow = {}
 for name, ms in cur.items():
     parts = name.split("/")
@@ -194,27 +191,17 @@ for name, ms in cur.items():
         if rate is not None:
             row[f"{parts[1]}_steps_per_sec"] = round(rate)
 for row in flow.values():
-    if row.get("worksteal_ms"):
-        if row.get("static_ms"):
-            row["worksteal_vs_static"] = round(
-                row["static_ms"] / row["worksteal_ms"], 3)
-        if row.get("legacy_ms"):
-            row["pipeline_speedup"] = round(
-                row["legacy_ms"] / row["worksteal_ms"], 3)
+    if row.get("static_ms") and row.get("legacy_ms"):
+        row["pipeline_speedup"] = round(row["legacy_ms"] / row["static_ms"], 3)
 if flow:
     doc["flow"] = {
         "time_unit": "ms",
         "field": "vortex-trap (early-termination-heavy)",
-        # Schedule comparisons are only meaningful relative to the core
-        # count they ran on; record it next to the numbers.
+        # Timings are only meaningful relative to the core count they
+        # ran on; record it next to the numbers.
         "host_cpus": ctx.get("num_cpus"),
         "particles": {str(k): flow[k] for k in sorted(flow)},
     }
-    if ctx.get("num_cpus") == 1:
-        doc["flow"]["note"] = (
-            "single-core host: static and worksteal coincide by "
-            "construction, so worksteal_vs_static ~ 1.0 carries no "
-            "scheduling signal")
 
 # Blocks table: BM_ContourBlocks/<blocks>/<size> rows fold into one row
 # per (blocks, size) — the wall-clock milliseconds for the full

@@ -43,15 +43,13 @@ operations:
   classify --algorithm A --size N [--caps w,w,...]
   study [--algorithms a,b,...] [--sizes n,n,...] [--caps w,w,...]
         [--cycles N]
-  budget --algorithm A --size N --budget W [--sim-steps N]
+  budget --algorithm A --size N --budget W [--sim-steps N (1..10000)]
 
 advection overrides (single-kernel ops with --algorithm advection):
   --advect-seeds N          particle count, 1..50000000 (default: server
                             config)
   --advect-steps N          max integration steps, 1..10000000
   --advect-mode M           streamline | pathline
-  --advect-schedule S       worksteal | static (bit-identical output;
-                            never part of the result-cache key)
 
 multi-block overrides (any kernel-running op):
   --blocks N                k-slab block count, 1..4096 (default: server
@@ -245,7 +243,7 @@ int main(int argc, char** argv) {
       else if (arg == "--caps") request.capsWatts = util::parseCapList(next());
       else if (arg == "--cycles") request.cycles = static_cast<int>(util::parseInt(next(), "--cycles"));
       else if (arg == "--budget") request.budgetWatts = util::parseDouble(next(), "--budget");
-      else if (arg == "--sim-steps") request.simSteps = static_cast<int>(util::parseInt(next(), "--sim-steps"));
+      else if (arg == "--sim-steps") request.simSteps = static_cast<int>(parseBounded(next(), "--sim-steps", 1, 10000));
       else if (arg == "--delay-ms") request.delayMs = util::parseDouble(next(), "--delay-ms");
       else if (arg == "--metrics") {
         request.op = service::Op::Metrics;
@@ -267,7 +265,6 @@ int main(int argc, char** argv) {
       else if (arg == "--advect-seeds") request.advectSeeds = parseBounded(next(), "--advect-seeds", 1, 50000000);
       else if (arg == "--advect-steps") request.advectSteps = parseBounded(next(), "--advect-steps", 1, 10000000);
       else if (arg == "--advect-mode") request.advectMode = next();
-      else if (arg == "--advect-schedule") request.advectSchedule = next();
       else if (arg == "--blocks") request.blocks = parseBounded(next(), "--blocks", 1, 4096);
       else if (arg == "--ghost") request.ghost = parseBounded(next(), "--ghost", 1, 8);
       else if (!arg.empty() && arg[0] != '-' && !haveOp) {

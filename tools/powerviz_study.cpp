@@ -58,7 +58,6 @@ options:
   --advect-steps N      advection max integration steps, 1..10000000
                         (default 1000)
   --advect-mode M       streamline | pathline
-  --advect-schedule S   worksteal | static (bit-identical output)
   --blocks N            multi-block k-slab count, 1..4096 (default:
                         POWERVIZ_BLOCKS, else 1).  Outputs are
                         bit-identical for every block count; the profile
@@ -156,10 +155,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--advect-mode") {
         config.params.advectionMode = next();
         vis::ParticleAdvectionFilter::parseMode(config.params.advectionMode);
-      } else if (arg == "--advect-schedule") {
-        config.params.advectionSchedule = next();
-        vis::ParticleAdvectionFilter::parseSchedule(
-            config.params.advectionSchedule);
       } else {
         std::cerr << "unknown option '" << arg << "'\n";
         usage(2);
