@@ -33,6 +33,7 @@
 #include "viz/filters/threshold.h"
 #include "viz/rendering/external_faces.h"
 #include "viz/rendering/ray_tracer.h"
+#include "viz/rendering/volume_renderer.h"
 
 namespace pviz {
 namespace {
@@ -406,6 +407,40 @@ TEST(KernelCancellation, RayTraceCancelsCleanlyAtEveryBoundary) {
       EXPECT_EQ(image.at(x, y).g, reference.at(x, y).g);
       EXPECT_EQ(image.at(x, y).b, reference.at(x, y).b);
       EXPECT_EQ(image.at(x, y).a, reference.at(x, y).a);
+    }
+  }
+}
+
+TEST(KernelCancellation, VolumeRenderCancelsCleanlyAtEveryBoundary) {
+  const vis::UniformGrid g = sim::makeCloverField(8);
+  vis::VolumeRenderer renderer;
+  renderer.setImageSize(40, 24);
+  renderer.setCameraCount(2);
+
+  ThreadPool refPool(1);
+  ExecutionContext refCtx(refPool);
+  const vis::VolumeRenderer::Result reference =
+      renderer.run(refCtx, g, "energy");
+
+  ThreadPool pool(1);
+  ExecutionContext ctx(pool);
+  vis::VolumeRenderer::Result result;
+  const int boundaries = sweepCancellationBoundaries(
+      ctx, [&] { result = renderer.run(ctx, g, "energy"); });
+  EXPECT_GT(boundaries, 2) << "expected per-camera and per-chunk points";
+
+  EXPECT_EQ(result.samplesTaken, reference.samplesTaken);
+  ASSERT_EQ(result.images.size(), 1u);
+  const vis::Image& image = result.images[0];
+  const vis::Image& expected = reference.images.at(0);
+  ASSERT_EQ(image.width(), expected.width());
+  ASSERT_EQ(image.height(), expected.height());
+  for (int y = 0; y < image.height(); ++y) {
+    for (int x = 0; x < image.width(); ++x) {
+      EXPECT_EQ(image.at(x, y).r, expected.at(x, y).r);
+      EXPECT_EQ(image.at(x, y).g, expected.at(x, y).g);
+      EXPECT_EQ(image.at(x, y).b, expected.at(x, y).b);
+      EXPECT_EQ(image.at(x, y).a, expected.at(x, y).a);
     }
   }
 }
