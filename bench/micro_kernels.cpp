@@ -495,6 +495,20 @@ void BM_VolumeRenderStudy(benchmark::State& state) {
 }
 BENCHMARK(BM_VolumeRenderStudy)->Arg(128)->Unit(benchmark::kMillisecond);
 
+// The study's ray-tracing shape: 128³, eight orbit cameras at 512²
+// (external faces, BVH build and trace; the study keeps one image).
+void BM_RayTraceStudy(benchmark::State& state) {
+  const vis::UniformGrid& g = grid(state.range(0));
+  vis::RayTracer tracer;
+  tracer.setImageSize(512, 512);
+  tracer.setCameraCount(8);
+  for (auto _ : state) {
+    util::ExecutionContext cold;
+    benchmark::DoNotOptimize(tracer.run(cold, g, "energy").raysHit);
+  }
+}
+BENCHMARK(BM_RayTraceStudy)->Arg(128)->Unit(benchmark::kMillisecond);
+
 // --- Telemetry cost -------------------------------------------------
 //
 // BM_HistogramRecord is the raw cost of one Histogram::record(): a

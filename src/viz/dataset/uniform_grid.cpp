@@ -36,56 +36,4 @@ Field& UniformGrid::field(const std::string& name) {
   return it->second;
 }
 
-namespace {
-// Shared trilinear weight evaluation over the 8 corners of one cell.
-template <typename Fetch>
-auto trilinear(const UniformGrid& grid, Id3 cell, const Vec3& t, Fetch&& fetch)
-    -> decltype(fetch(Id{0})) {
-  Id ids[8];
-  grid.cellPointIds(cell, ids);
-  const double ti = t.x, tj = t.y, tk = t.z;
-  const double w[8] = {
-      (1 - ti) * (1 - tj) * (1 - tk), ti * (1 - tj) * (1 - tk),
-      ti * tj * (1 - tk),             (1 - ti) * tj * (1 - tk),
-      (1 - ti) * (1 - tj) * tk,       ti * (1 - tj) * tk,
-      ti * tj * tk,                   (1 - ti) * tj * tk};
-  auto acc = fetch(ids[0]) * w[0];
-  for (int c = 1; c < 8; ++c) acc += fetch(ids[c]) * w[c];
-  return acc;
-}
-}  // namespace
-
-double UniformGrid::interpolateScalar(const Field& f, Id3 cell,
-                                      const Vec3& t) const {
-  PVIZ_REQUIRE(f.association() == Association::Points,
-               "interpolateScalar requires a point field");
-  return trilinear(*this, cell, t, [&](Id id) { return f.value(id); });
-}
-
-Vec3 UniformGrid::interpolateVector(const Field& f, Id3 cell,
-                                    const Vec3& t) const {
-  PVIZ_REQUIRE(f.association() == Association::Points,
-               "interpolateVector requires a point field");
-  PVIZ_REQUIRE(f.components() == 3, "interpolateVector requires 3 components");
-  return trilinear(*this, cell, t, [&](Id id) { return f.vec3(id); });
-}
-
-bool UniformGrid::sampleScalar(const Field& f, const Vec3& p,
-                               double& out) const {
-  Id3 cell;
-  Vec3 t;
-  if (!locateCell(p, cell, t)) return false;
-  out = interpolateScalar(f, cell, t);
-  return true;
-}
-
-bool UniformGrid::sampleVector(const Field& f, const Vec3& p,
-                               Vec3& out) const {
-  Id3 cell;
-  Vec3 t;
-  if (!locateCell(p, cell, t)) return false;
-  out = interpolateVector(f, cell, t);
-  return true;
-}
-
 }  // namespace pviz::vis

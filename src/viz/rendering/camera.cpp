@@ -53,27 +53,4 @@ std::vector<Camera> cameraOrbit(const Bounds& box, int count,
   return cameras;
 }
 
-bool intersectBox(const Ray& ray, const Bounds& box, double& tNear,
-                  double& tFar) {
-  tNear = -1e300;
-  tFar = 1e300;
-  for (int axis = 0; axis < 3; ++axis) {
-    const double o = ray.origin[axis];
-    const double d = ray.direction[axis];
-    const double lo = box.lo[axis];
-    const double hi = box.hi[axis];
-    if (d == 0.0) {
-      if (o < lo || o > hi) return false;
-      continue;
-    }
-    double t0 = (lo - o) / d;
-    double t1 = (hi - o) / d;
-    if (t0 > t1) std::swap(t0, t1);
-    tNear = std::max(tNear, t0);
-    tFar = std::min(tFar, t1);
-    if (tNear > tFar) return false;
-  }
-  return tFar >= 0.0;
-}
-
 }  // namespace pviz::vis

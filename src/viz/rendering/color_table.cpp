@@ -1,7 +1,5 @@
 #include "viz/rendering/color_table.h"
 
-#include <algorithm>
-
 namespace pviz::vis {
 
 ColorTable::ColorTable(std::vector<ControlPoint> points)
@@ -25,20 +23,6 @@ ColorTable ColorTable::rainbowVolume() {
                      {0.50, {0.10, 0.75, 0.25, 0.15}},
                      {0.75, {0.95, 0.80, 0.10, 0.40}},
                      {1.00, {0.85, 0.08, 0.05, 0.85}}});
-}
-
-Color ColorTable::sample(double t) const {
-  t = std::clamp(t, 0.0, 1.0);
-  if (t <= points_.front().position) return points_.front().color;
-  if (t >= points_.back().position) return points_.back().color;
-  for (std::size_t i = 1; i < points_.size(); ++i) {
-    if (t <= points_[i].position) {
-      const double span = points_[i].position - points_[i - 1].position;
-      const double frac = span > 0.0 ? (t - points_[i - 1].position) / span : 0.0;
-      return lerp(points_[i - 1].color, points_[i].color, frac);
-    }
-  }
-  return points_.back().color;
 }
 
 }  // namespace pviz::vis

@@ -2,6 +2,7 @@
 // rainbow-ish table for volume rendering with per-entry opacity).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "util/error.h"
@@ -24,8 +25,22 @@ class ColorTable {
   /// Blue-cyan-green-yellow-red with ramped opacity (volume rendering).
   static ColorTable rainbowVolume();
 
-  /// Map normalized scalar [0, 1] (clamped) to a color.
-  Color sample(double t) const;
+  /// Map normalized scalar [0, 1] (clamped) to a color.  Defined here
+  /// so the ray-cast kernels inline it into their per-sample loops.
+  Color sample(double t) const {
+    t = std::clamp(t, 0.0, 1.0);
+    if (t <= points_.front().position) return points_.front().color;
+    if (t >= points_.back().position) return points_.back().color;
+    for (std::size_t i = 1; i < points_.size(); ++i) {
+      if (t <= points_[i].position) {
+        const double span = points_[i].position - points_[i - 1].position;
+        const double frac =
+            span > 0.0 ? (t - points_[i - 1].position) / span : 0.0;
+        return lerp(points_[i - 1].color, points_[i].color, frac);
+      }
+    }
+    return points_.back().color;
+  }
 
   /// Map a raw scalar given the field range.
   Color sampleRange(double value, double lo, double hi) const {

@@ -1,11 +1,12 @@
 #include "viz/rendering/volume_renderer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
 #include "util/exec_context.h"
-#include "util/parallel.h"
 #include "viz/rendering/camera.h"
+#include "viz/rendering/pixel_tiles.h"
 
 namespace pviz::vis {
 
@@ -34,59 +35,56 @@ VolumeRenderer::Result VolumeRenderer::run(util::ExecutionContext& ctx,
   const double opacityExponent = stepSize / (diagonal / 256.0);
   const bool unitExponent = opacityExponent == 1.0;
 
+  // March one ray front to back; `samples` counts the in-grid samples.
+  const auto marchRay = [&](const Ray& ray, std::int64_t& samples) -> Color {
+    double tNear, tFar;
+    if (!intersectBox(ray, box, tNear, tFar)) return {0, 0, 0, 0};
+    tNear = std::max(tNear, 0.0);
+    Color accum{0, 0, 0, 0};
+    for (double t = tNear + 0.5 * stepSize; t < tFar; t += stepSize) {
+      double s;
+      if (!grid.sampleScalar(field, ray.origin + ray.direction * t, s)) {
+        continue;
+      }
+      ++samples;
+      const Color sample = colors_.sampleRange(s, scalarLo, scalarHi);
+      // Opacity correction for the step size, then front-to-back
+      // "over" compositing with early termination.
+      const double alpha =
+          unitExponent ? 1.0 - (1.0 - sample.a)
+                       : 1.0 - std::pow(1.0 - sample.a, opacityExponent);
+      const double weight = (1.0 - accum.a) * alpha;
+      accum.r += weight * sample.r;
+      accum.g += weight * sample.g;
+      accum.b += weight * sample.b;
+      accum.a += weight;
+      if (accum.a > 0.99) break;
+    }
+    return accum;
+  };
+
   std::atomic<std::int64_t> samplesTaken{0};
 
   auto marchPhase = ctx.phase("ray-march");
   for (int cam = 0; cam < cameraCount_; ++cam) {
     ctx.cancel().throwIfCancelled();  // per-camera cancellation point
-    Image image(width_, height_);
+    // Only a kept camera gets an image; the others still march every
+    // ray, for samplesTaken, but store no pixel.
+    Image* image = cam == 0 || !keepFirstOnly_
+                       ? &result.images.emplace_back(width_, height_)
+                       : nullptr;
     const Camera& camera = cameras[static_cast<std::size_t>(cam)];
-    util::parallelForChunks(
-        ctx, 0, static_cast<Id>(width_) * height_,
-        [&](Id chunkBegin, Id chunkEnd) {
-          std::int64_t localSamples = 0;
-          for (Id pixel = chunkBegin; pixel < chunkEnd; ++pixel) {
-            const int x = static_cast<int>(pixel % width_);
-            const int y = static_cast<int>(pixel / width_);
-            const Ray ray = camera.pixelRay(x, y, width_, height_);
-            double tNear, tFar;
-            if (!intersectBox(ray, box, tNear, tFar)) {
-              image.at(x, y) = {0, 0, 0, 0};
-              continue;
-            }
-            tNear = std::max(tNear, 0.0);
-            Color accum{0, 0, 0, 0};
-            for (double t = tNear + 0.5 * stepSize; t < tFar;
-                 t += stepSize) {
-              double s;
-              if (!grid.sampleScalar(field, ray.origin + ray.direction * t,
-                                     s)) {
-                continue;
-              }
-              ++localSamples;
-              const Color sample =
-                  colors_.sampleRange(s, scalarLo, scalarHi);
-              // Opacity correction for the step size, then front-to-back
-              // "over" compositing with early termination.
-              const double alpha =
-                  unitExponent
-                      ? 1.0 - (1.0 - sample.a)
-                      : 1.0 - std::pow(1.0 - sample.a, opacityExponent);
-              const double weight = (1.0 - accum.a) * alpha;
-              accum.r += weight * sample.r;
-              accum.g += weight * sample.g;
-              accum.b += weight * sample.b;
-              accum.a += weight;
-              if (accum.a > 0.99) break;
-            }
-            image.at(x, y) = accum;
-          }
-          samplesTaken.fetch_add(localSamples, std::memory_order_relaxed);
-        },
-        /*grain=*/4096);
-    if (cam == 0 || !keepFirstOnly_) {
-      result.images.push_back(std::move(image));
-    }
+    forEachPixelTile(ctx, width_, height_, [&](const PixelTile& tile) {
+      std::int64_t localSamples = 0;
+      for (int y = tile.y0; y < tile.y1; ++y) {
+        for (int x = tile.x0; x < tile.x1; ++x) {
+          const Color pixel =
+              marchRay(camera.pixelRay(x, y, width_, height_), localSamples);
+          if (image != nullptr) image->at(x, y) = pixel;
+        }
+      }
+      samplesTaken.fetch_add(localSamples, std::memory_order_relaxed);
+    });
   }
 
   result.raysTraced =

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "sim/cloverleaf.h"
+#include "util/backend.h"
 #include "util/exec_context.h"
+#include "util/thread_pool.h"
 #include "viz/rendering/ray_tracer.h"
 
 namespace pviz::vis {
@@ -114,6 +116,39 @@ TEST(RayTracer, DeterministicImages) {
   EXPECT_EQ(ca.r, cb.r);
   EXPECT_EQ(ca.g, cb.g);
   EXPECT_EQ(a.raysHit, b.raysHit);
+}
+
+// 100 x 60 cuts into full and partial tiles, several chunks per image,
+// so a 4-worker pool writes one shared image from several threads.
+TEST(RayTracer, TiledImagesMatchAcrossPoolSizes) {
+  const UniformGrid g = dataset();
+  RayTracer tracer;
+  tracer.setImageSize(100, 60);
+  tracer.setCameraCount(2);
+  tracer.setKeepFirstImageOnly(false);
+  const auto render = [&](unsigned workers) {
+    util::ThreadPool pool(workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(exec::threadedBackend());
+    return tracer.run(ctx, g, "energy");
+  };
+  const auto one = render(1);
+  const auto four = render(4);
+  EXPECT_EQ(one.raysHit, four.raysHit);
+  ASSERT_EQ(one.images.size(), 2u);
+  ASSERT_EQ(four.images.size(), 2u);
+  for (std::size_t i = 0; i < one.images.size(); ++i) {
+    for (int y = 0; y < 60; ++y) {
+      for (int x = 0; x < 100; ++x) {
+        const Color& a = one.images[i].at(x, y);
+        const Color& b = four.images[i].at(x, y);
+        ASSERT_EQ(a.r, b.r);
+        ASSERT_EQ(a.g, b.g);
+        ASSERT_EQ(a.b, b.b);
+        ASSERT_EQ(a.a, b.a);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "sim/cloverleaf.h"
+#include "util/backend.h"
 #include "util/exec_context.h"
+#include "util/thread_pool.h"
 #include "viz/rendering/volume_renderer.h"
 
 namespace pviz::vis {
@@ -128,6 +130,39 @@ TEST(VolumeRenderer, MoreSamplesRefineTheImageConsistently) {
   // Same scene: averages agree within a loose tolerance thanks to the
   // step-size opacity correction.
   EXPECT_NEAR(a.a, b.a, 0.08);
+}
+
+// 100 x 60 cuts into full and partial tiles, several chunks per image,
+// so a 4-worker pool writes one shared image from several threads.
+TEST(VolumeRenderer, TiledImagesMatchAcrossPoolSizes) {
+  const UniformGrid g = dataset();
+  VolumeRenderer renderer;
+  renderer.setImageSize(100, 60);
+  renderer.setCameraCount(2);
+  renderer.setKeepFirstImageOnly(false);
+  const auto render = [&](unsigned workers) {
+    util::ThreadPool pool(workers);
+    util::ExecutionContext ctx(pool);
+    ctx.setBackend(exec::threadedBackend());
+    return renderer.run(ctx, g, "energy");
+  };
+  const auto one = render(1);
+  const auto four = render(4);
+  EXPECT_EQ(one.samplesTaken, four.samplesTaken);
+  ASSERT_EQ(one.images.size(), 2u);
+  ASSERT_EQ(four.images.size(), 2u);
+  for (std::size_t i = 0; i < one.images.size(); ++i) {
+    for (int y = 0; y < 60; ++y) {
+      for (int x = 0; x < 100; ++x) {
+        const Color& a = one.images[i].at(x, y);
+        const Color& b = four.images[i].at(x, y);
+        ASSERT_EQ(a.r, b.r);
+        ASSERT_EQ(a.g, b.g);
+        ASSERT_EQ(a.b, b.b);
+        ASSERT_EQ(a.a, b.a);
+      }
+    }
+  }
 }
 
 }  // namespace
