@@ -352,6 +352,46 @@ TEST(Protocol, TraceSpanJsonRoundTrip) {
   EXPECT_EQ(back.args, span.args);
 }
 
+TEST(Protocol, TraceSpanJsonRoundTripsTheLargestWireValues) {
+  telemetry::TraceSpan span;
+  span.traceId = (std::uint64_t{1} << 53) - 1;
+  span.parentSpan = span.traceId;
+  span.pid = 0xffffffffu;
+  span.threadId = 0xffffffffu;
+  span.startUs = span.traceId;
+  span.durationUs = span.traceId;
+  const telemetry::TraceSpan back = service::traceSpanFromJson(
+      Json::parse(service::traceSpanToJson(span).dump()));
+  EXPECT_EQ(back.traceId, span.traceId);
+  EXPECT_EQ(back.parentSpan, span.parentSpan);
+  EXPECT_EQ(back.pid, span.pid);
+  EXPECT_EQ(back.threadId, span.threadId);
+  EXPECT_EQ(back.startUs, span.startUs);
+  EXPECT_EQ(back.durationUs, span.durationUs);
+
+  // An absent pid keeps the span default lane.
+  EXPECT_EQ(service::traceSpanFromJson(Json::parse("{}")).pid, 1u);
+}
+
+TEST(Protocol, TraceSpanFromJsonRejectsOutOfRangeNumbers) {
+  for (const char* key :
+       {"trace_id", "parent_span", "pid", "tid", "start_us", "dur_us"}) {
+    for (const char* value : {"1e30", "-1", "2.5"}) {
+      SCOPED_TRACE(std::string(key) + "=" + value);
+      const std::string row =
+          std::string("{\"name\":\"s\",\"") + key + "\":" + value + "}";
+      EXPECT_THROW(service::traceSpanFromJson(Json::parse(row)), pviz::Error);
+    }
+  }
+  // One past each type's limit.
+  EXPECT_THROW(service::traceSpanFromJson(
+                   Json::parse("{\"trace_id\":9007199254740992}")),
+               pviz::Error);
+  EXPECT_THROW(
+      service::traceSpanFromJson(Json::parse("{\"tid\":4294967296}")),
+      pviz::Error);
+}
+
 // ------------------------------------------------------ server end-to-end
 
 ServerConfig testConfig() {
