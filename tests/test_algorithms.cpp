@@ -107,8 +107,8 @@ TEST_P(AllAlgorithmsRun, ProducesAWellFormedProfile) {
 
 INSTANTIATE_TEST_SUITE_P(
     Study, AllAlgorithmsRun, ::testing::ValuesIn(allAlgorithms()),
-    [](const ::testing::TestParamInfo<Algorithm>& info) {
-      std::string name = algorithmName(info.param);
+    [](const ::testing::TestParamInfo<Algorithm>& param) {
+      std::string name = algorithmName(param.param);
       name.erase(std::remove(name.begin(), name.end(), ' '), name.end());
       return name;
     });

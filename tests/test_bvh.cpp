@@ -125,7 +125,9 @@ TEST_P(BvhLeafSize, LeafSizeDoesNotChangeResults) {
     const TriangleHit a = reference.intersect(ray);
     const TriangleHit b = variant.intersect(ray);
     ASSERT_EQ(a.hit(), b.hit());
-    if (a.hit()) ASSERT_NEAR(a.t, b.t, 1e-12);
+    if (a.hit()) {
+      ASSERT_NEAR(a.t, b.t, 1e-12);
+    }
   }
 }
 

@@ -92,8 +92,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(arch::MachineDescription::broadwellE52695v4(),
                       arch::MachineDescription::skylakeLike(),
                       arch::MachineDescription::epycLike()),
-    [](const ::testing::TestParamInfo<arch::MachineDescription>& info) {
-      switch (info.index) {
+    [](const ::testing::TestParamInfo<arch::MachineDescription>& param) {
+      switch (param.index) {
         case 0: return std::string("Broadwell");
         case 1: return std::string("Skylake");
         default: return std::string("Epyc");

@@ -35,8 +35,12 @@ TEST(Weld, ScalarsFollowFirstOccurrence) {
   for (Id p = 0; p < result.mesh.numPoints(); ++p) {
     const Vec3& pos = result.mesh.points[static_cast<std::size_t>(p)];
     const double s = result.mesh.pointScalars[static_cast<std::size_t>(p)];
-    if (pos == Vec3{1, 0, 0}) EXPECT_EQ(s, 2.0);
-    if (pos == Vec3{0, 1, 0}) EXPECT_EQ(s, 3.0);
+    if (pos == Vec3{1, 0, 0}) {
+      EXPECT_EQ(s, 2.0);
+    }
+    if (pos == Vec3{0, 1, 0}) {
+      EXPECT_EQ(s, 3.0);
+    }
   }
 }
 
