@@ -37,7 +37,13 @@ Request ServiceEngine::normalize(const Request& request) const {
 }
 
 ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
-                                             const Request& rawRequest) {
+                                             const Request& request) {
+  const Admission admission = admit(request);
+  if (admission.hit) return Outcome{Json::parse(*admission.hit), true};
+  return Outcome{Json::parse(compute(ctx, admission)), false};
+}
+
+ServiceEngine::Admission ServiceEngine::admit(const Request& rawRequest) {
   PVIZ_REQUIRE(rawRequest.op != Op::Stats && rawRequest.op != Op::Metrics &&
                    rawRequest.op != Op::Register &&
                    rawRequest.op != Op::Heartbeat &&
@@ -46,11 +52,20 @@ ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
                    rawRequest.op != Op::Events,
                "stats/metrics/trace/events/fleet requests are answered by the "
                "server, not the engine");
-  const Request request = normalize(rawRequest);
+  // A bad backend is refused even when the result is cached, though the
+  // backend cannot affect the key: backends are bit-identical, so every
+  // backend maps to the same cache entry.
+  if (!rawRequest.backend.empty()) exec::parseBackendToken(rawRequest.backend);
+  Admission admission{normalize(rawRequest), {}, std::nullopt};
+  admission.key = canonicalCacheKey(admission.request);
+  if (!admission.key.empty()) admission.hit = cache_.get(admission.key);
+  return admission;
+}
+
+std::string ServiceEngine::compute(util::ExecutionContext& ctx,
+                                   const Admission& admission) {
+  const Request& request = admission.request;
   // Backend precedence: request field > engine config > process default.
-  // Selected before the cache lookup for uniformity, though it cannot
-  // affect the key — backends are bit-identical, so every backend maps
-  // to the same cache entry.
   if (!request.backend.empty()) {
     ctx.setBackend(exec::backendFor(exec::parseBackendToken(request.backend)));
   } else if (!config_.backend.empty()) {
@@ -59,18 +74,11 @@ ServiceEngine::Outcome ServiceEngine::handle(util::ExecutionContext& ctx,
   } else {
     ctx.setBackend(exec::defaultBackend());
   }
-  const std::string key = canonicalCacheKey(request);
-
-  if (!key.empty()) {
-    if (auto hit = cache_.get(key)) {
-      return Outcome{Json::parse(*hit), true};
-    }
-  }
   // A cancelled execute() throws past the put, so the cache only ever
   // holds results of runs that finished.
-  Json result = execute(ctx, request);
-  if (!key.empty()) cache_.put(key, result.dump());
-  return Outcome{std::move(result), false};
+  std::string result = execute(ctx, request).dump();
+  if (!admission.key.empty()) cache_.put(admission.key, result);
+  return result;
 }
 
 const vis::KernelProfile& ServiceEngine::profileFor(

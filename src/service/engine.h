@@ -5,8 +5,8 @@
 // Study instance (whose characterization memoization is thread-safe and
 // deduplicates concurrent identical work), one PowerAdvisor and the
 // sharded LRU over serialized results.  A budget request's simulation
-// side is sim::hydroProfile, written down rather than run.  handle() is
-// safe to call from any number of worker threads.
+// side is sim::hydroProfile, written down rather than run.  Every entry
+// point is safe to call from any number of threads.
 //
 // Request normalization happens here: empty cap lists, zero cycle
 // counts and zero sim-step counts pick up the engine defaults *before*
@@ -14,6 +14,7 @@
 // spelled-out default sweep hit the same cache entry.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "core/power_advisor.h"
@@ -57,12 +58,31 @@ class ServiceEngine {
   };
 
   /// Execute one request (never `stats` — the server answers that from
-  /// its metrics).  Throws pviz::Error for malformed parameters; the
-  /// server maps that to an `error` response.  The context carries the
-  /// request's cancellation token: expiry mid-kernel aborts with
-  /// util::CancelledError, and a cancelled request never reaches the
-  /// result cache (the put happens only after execution completes).
+  /// its metrics): admit() followed, on a miss, by compute().  Throws
+  /// pviz::Error for malformed parameters; the server maps that to an
+  /// `error` response.  The context carries the request's cancellation
+  /// token: expiry mid-kernel aborts with util::CancelledError, and a
+  /// cancelled request never reaches the result cache (the put happens
+  /// only after execution completes).
   Outcome handle(util::ExecutionContext& ctx, const Request& request);
+
+  /// A request after admission: normalized, keyed and looked up.
+  struct Admission {
+    Request request;                 ///< engine defaults filled in
+    std::string key;                 ///< result-cache key; empty = uncached
+    std::optional<std::string> hit;  ///< the stored result bytes
+  };
+
+  /// The first step of handle(): validate the backend, normalize, key
+  /// the request and look the key up, counting one cache hit or miss
+  /// per cacheable request.  Needs no execution context, so the server
+  /// runs it on the connection's reader and answers hits there.
+  Admission admit(const Request& request);
+
+  /// The second step, for a miss: run the admitted request on `ctx` and
+  /// store its result under the key.  Returns the serialized result,
+  /// the same bytes the cache now holds.
+  std::string compute(util::ExecutionContext& ctx, const Admission& admission);
 
   /// Fill engine defaults into a request (caps, sizes, cycles, steps).
   Request normalize(const Request& request) const;

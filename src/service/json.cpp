@@ -18,7 +18,9 @@ namespace {
               names[static_cast<int>(got)]);
 }
 
-void appendEscaped(std::string& out, const std::string& s) {
+}  // namespace
+
+void appendJsonString(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -42,7 +44,7 @@ void appendEscaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void appendNumber(std::string& out, double n) {
+void appendJsonNumber(std::string& out, double n) {
   PVIZ_REQUIRE(std::isfinite(n), "json: cannot serialize a non-finite number");
   // Integers (the common protocol case) print without an exponent or
   // trailing zeros; everything else round-trips via %.17g.
@@ -57,12 +59,14 @@ void appendNumber(std::string& out, double n) {
   }
 }
 
+namespace {
+
 void appendValue(std::string& out, const Json& v) {
   switch (v.type()) {
     case Json::Type::Null: out += "null"; return;
     case Json::Type::Bool: out += v.asBool() ? "true" : "false"; return;
-    case Json::Type::Number: appendNumber(out, v.asNumber()); return;
-    case Json::Type::String: appendEscaped(out, v.asString()); return;
+    case Json::Type::Number: appendJsonNumber(out, v.asNumber()); return;
+    case Json::Type::String: appendJsonString(out, v.asString()); return;
     case Json::Type::Array: {
       out += '[';
       bool first = true;
@@ -80,7 +84,7 @@ void appendValue(std::string& out, const Json& v) {
       for (const auto& [key, value] : v.asObject()) {
         if (!first) out += ',';
         first = false;
-        appendEscaped(out, key);
+        appendJsonString(out, key);
         out += ':';
         appendValue(out, value);
       }

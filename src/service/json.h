@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -88,5 +89,10 @@ class Json {
   Array array_;
   Object object_;
 };
+
+/// Append `s` or `n` exactly as Json::dump() writes a string or number,
+/// for writers that splice already-serialized values into one frame.
+void appendJsonString(std::string& out, std::string_view s);
+void appendJsonNumber(std::string& out, double n);
 
 }  // namespace pviz::service

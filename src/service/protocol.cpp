@@ -287,6 +287,27 @@ Json toJson(const Response& response) {
   return out;
 }
 
+void appendOkReply(std::string& out, const std::string& id, Op op,
+                   bool cached, double elapsedMs, std::string_view result,
+                   const Json& trace) {
+  // The member order of toJson(Response): clients scan these lines.
+  out += "{\"id\":";
+  appendJsonString(out, id);
+  out += ",\"op\":";
+  appendJsonString(out, opToken(op));
+  out += ",\"status\":\"ok\",\"cached\":";
+  out += cached ? "true" : "false";
+  out += ",\"elapsed_ms\":";
+  appendJsonNumber(out, elapsedMs);
+  out += ",\"result\":";
+  out += result;
+  if (!trace.isNull()) {
+    out += ",\"trace\":";
+    out += trace.dump();
+  }
+  out += '}';
+}
+
 Response responseFromJson(const Json& json) {
   PVIZ_REQUIRE(json.isObject(), "response must be a JSON object");
   Response response;

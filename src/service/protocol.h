@@ -55,6 +55,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/power_advisor.h"
@@ -178,6 +179,14 @@ struct Response {
 
 Json toJson(const Response& response);
 Response responseFromJson(const Json& json);
+
+/// Append the wire line (no newline) of an `ok` reply whose result is
+/// already serialized.  Byte-identical to toJson(response).dump() for
+/// the same fields when response.result dumps to `result`, without
+/// building a Json of the payload.  A null `trace` is omitted.
+void appendOkReply(std::string& out, const std::string& id, Op op,
+                   bool cached, double elapsedMs, std::string_view result,
+                   const Json& trace);
 
 // --- Result payloads ------------------------------------------------------
 // Each core result type serializes to the `result` member of an "ok"

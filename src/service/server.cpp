@@ -259,8 +259,8 @@ void Server::acceptLoop() {
       // Accept-time shedding: one overloaded line, then the Connection
       // destructor closes the socket.
       metrics_.recordShedConnection();
-      respondStatus(*conn, "", "overloaded",
-                    "connection limit reached, retry later");
+      writeReplies(*conn, statusLine(nullptr, "overloaded",
+                                     "connection limit reached, retry later"));
       continue;
     }
 
@@ -286,32 +286,36 @@ void Server::reapReaders(bool joinAll) {
 
 void Server::readerLoop(std::shared_ptr<Connection> conn) {
   std::string buffer;
+  std::string replies;  // everything answered from one recv, sent at once
   char chunk[16384];
 
   // Deadline bookkeeping: lastByteAt tracks any received byte (idle
   // deadline); frameStartedAt is set while a partial frame sits in the
   // buffer (stalled-frame deadline — a slow-loris writer keeps the
   // connection "busy" without ever completing a frame, so idleness
-  // alone cannot catch it).
+  // alone cannot catch it).  Both are stamped after the recv, never
+  // with a time read before the poll that may have waited for it.
   auto lastByteAt = std::chrono::steady_clock::now();
   auto frameStartedAt = lastByteAt;
 
   while (!stopping_) {
-    const auto now = std::chrono::steady_clock::now();
     if (config_.idleTimeoutMs > 0 && buffer.empty() &&
         millisSince(lastByteAt) > config_.idleTimeoutMs) {
       metrics_.recordTimeout();
-      respondStatus(*conn, "", "error",
-                    "idle timeout: no request within " +
-                        std::to_string(config_.idleTimeoutMs) + " ms");
+      writeReplies(*conn, statusLine(nullptr, "error",
+                                     "idle timeout: no request within " +
+                                         std::to_string(config_.idleTimeoutMs) +
+                                         " ms"));
       break;
     }
     if (config_.frameTimeoutMs > 0 && !buffer.empty() &&
         millisSince(frameStartedAt) > config_.frameTimeoutMs) {
       metrics_.recordTimeout();
-      respondStatus(*conn, "", "error",
-                    "frame timeout: frame not completed within " +
-                        std::to_string(config_.frameTimeoutMs) + " ms");
+      writeReplies(*conn,
+                   statusLine(nullptr, "error",
+                              "frame timeout: frame not completed within " +
+                                  std::to_string(config_.frameTimeoutMs) +
+                                  " ms"));
       break;
     }
 
@@ -321,6 +325,7 @@ void Server::readerLoop(std::shared_ptr<Connection> conn) {
 
     const ssize_t n = ::recv(conn->fd, chunk, sizeof chunk, 0);
     if (n <= 0) break;  // EOF or error: the client is gone
+    const auto now = std::chrono::steady_clock::now();
     if (buffer.empty()) frameStartedAt = now;
     lastByteAt = now;
     buffer.append(chunk, static_cast<std::size_t>(n));
@@ -337,37 +342,105 @@ void Server::readerLoop(std::shared_ptr<Connection> conn) {
         // A complete frame over the bound still has a clean boundary,
         // so reject just the frame and keep the connection.
         metrics_.recordRejectedFrame();
-        respondStatus(*conn, "", "error",
-                      "frame exceeds " + std::to_string(config_.maxFrameBytes) +
-                          " bytes");
+        replies += statusLine(nullptr, "error",
+                              "frame exceeds " +
+                                  std::to_string(config_.maxFrameBytes) +
+                                  " bytes");
         continue;
       }
-      Task task{conn, line, std::chrono::steady_clock::now()};
-      if (!tryEnqueue(std::move(task))) {
-        // Backpressure: answer now instead of buffering unboundedly.
-        metrics_.recordOverloaded();
-        respondOverloaded(*conn, line);
-      }
+      admit(conn, line, replies);
     }
     buffer.erase(0, lineStart);
 
-    if (buffer.size() > config_.maxFrameBytes) {
+    const bool overBound = buffer.size() > config_.maxFrameBytes;
+    if (overBound) {
       // A partial frame already over the bound: the only way to regain
       // framing would be to buffer without limit, so reply and drop the
       // connection — this is what bounds per-connection memory.
       PVIZ_LOG_WARN("dropping connection: frame exceeds "
                     << config_.maxFrameBytes << " bytes");
       metrics_.recordRejectedFrame();
-      respondStatus(*conn, "", "error",
-                    "frame exceeds " + std::to_string(config_.maxFrameBytes) +
-                        " bytes");
-      break;
+      replies += statusLine(nullptr, "error",
+                            "frame exceeds " +
+                                std::to_string(config_.maxFrameBytes) +
+                                " bytes");
     }
+    if (!replies.empty()) {
+      writeReplies(*conn, replies);
+      replies.clear();
+    }
+    if (overBound) break;
   }
 
   metrics_.connectionClosed();
   activeConnections_.fetch_sub(1);
   conn->readerDone = true;
+}
+
+void Server::admit(const std::shared_ptr<Connection>& conn,
+                   const std::string& line, std::string& replies) {
+  const auto admitted = std::chrono::steady_clock::now();
+  Request request;
+  try {
+    request = requestFromJson(Json::parse(line, config_.maxJsonDepth));
+  } catch (const std::exception& e) {
+    // The frame itself did not parse to a request.
+    metrics_.recordBadRequest();
+    replies += statusLine(nullptr, "error", e.what());
+    return;
+  }
+
+  // Ops that run nothing are answered here, in admission order, without
+  // a queue slot; everything that runs goes to the workers.
+  const std::uint64_t startUs = telemetry::traceNowUs();
+  ServiceEngine::Admission admission;
+  bool runs = false;
+  Answer answer;
+  try {
+    switch (request.op) {
+      case Op::Stats:
+        answer.result = statsJson().dump();
+        break;
+      case Op::Metrics: {
+        Json result = Json::object();
+        result.set("exposition", prometheusText());
+        answer.result = result.dump();
+        break;
+      }
+      case Op::Events:
+        answer.result = handleEvents(request).dump();
+        break;
+      case Op::Register:
+      case Op::Heartbeat:
+      case Op::Claim:
+      case Op::TraceDump:
+        admission.request = request;
+        runs = true;
+        break;
+      default:
+        admission = engine_.admit(request);
+        runs = !admission.hit;
+        if (admission.hit) {
+          // A hit runs nothing and credits no energy: its stored bytes
+          // are the reply's result.
+          answer.result = std::move(*admission.hit);
+          answer.cached = true;
+        }
+    }
+  } catch (const std::exception& e) {
+    answer.status = "error";
+    answer.error = e.what();
+  }
+  if (runs) {
+    if (!tryEnqueue(Task{conn, std::move(admission), admitted})) {
+      // Backpressure: answer now instead of buffering unboundedly.
+      metrics_.recordOverloaded();
+      replies += statusLine(&request, "overloaded",
+                            "request queue is full, retry later");
+    }
+    return;
+  }
+  finish(request, answer, admitted, startUs, nullptr, replies);
 }
 
 bool Server::tryEnqueue(Task task) {
@@ -406,169 +479,168 @@ void Server::workerLoop() {
 }
 
 void Server::process(Task& task, util::ExecutionContext& ctx) {
+  const Request& request = task.admission.request;
   // Request budget, checked at dispatch: a request that sat in the queue
   // past its budget gets an `error` reply instead of stale work — under
   // overload this sheds exactly the requests whose clients have likely
   // given up waiting.
   if (config_.requestTimeoutMs > 0 &&
-      millisSince(task.enqueued) > config_.requestTimeoutMs) {
+      millisSince(task.admitted) > config_.requestTimeoutMs) {
     metrics_.recordTimeout();
-    respondStatus(*task.conn, task.line, "error",
-                  "deadline exceeded: request queued longer than " +
-                      std::to_string(config_.requestTimeoutMs) + " ms");
+    writeReplies(*task.conn,
+                 statusLine(&request, "error",
+                            "deadline exceeded: request queued longer than " +
+                                std::to_string(config_.requestTimeoutMs) +
+                                " ms"));
     return;
   }
 
   // A request dispatched in time carries its remaining budget into the
   // engine: the kernel polls the deadline at phase and chunk boundaries
-  // and aborts mid-run if it expires (the `cancelled` counter below).
+  // and aborts mid-run if it expires (the `cancelled` counter).
   ctx.beginRun();
   ctx.cancel().reset();
   if (config_.requestTimeoutMs > 0) {
     ctx.cancel().setDeadline(
-        task.enqueued + std::chrono::milliseconds(config_.requestTimeoutMs));
+        task.admitted + std::chrono::milliseconds(config_.requestTimeoutMs));
   }
 
-  const std::uint64_t requestStartUs = telemetry::traceNowUs();
-  Response response;
-  bool cancelled = false;
+  const std::uint64_t startUs = telemetry::traceNowUs();
+  // Trace-context propagation: a request carrying a coordinator-minted
+  // trace_id keeps it (every span of this request tags with the fleet
+  // id); otherwise mint a local one.
+  ctx.setTraceId(request.traceId != 0
+                     ? request.traceId
+                     : nextTraceId_.fetch_add(1, std::memory_order_relaxed));
+  Answer answer;
   try {
-    const Request request =
-        requestFromJson(Json::parse(task.line, config_.maxJsonDepth));
-    response.id = request.id;
-    response.op = request.op;
-    // Trace-context propagation: a request carrying a coordinator-minted
-    // trace_id keeps it (every span of this request tags with the fleet
-    // id); otherwise mint a local one.
-    ctx.setTraceId(request.traceId != 0
-                       ? request.traceId
-                       : nextTraceId_.fetch_add(1, std::memory_order_relaxed));
-    try {
-      if (request.op == Op::Stats) {
-        response.result = statsJson();
-      } else if (request.op == Op::Register || request.op == Op::Heartbeat ||
-                 request.op == Op::Claim) {
-        response.result = handleFleetOp(request);
-      } else if (request.op == Op::Metrics) {
-        Json result = Json::object();
-        result.set("exposition",
-                   metrics_.prometheusText(engine_.cache().stats()));
-        response.result = std::move(result);
-      } else if (request.op == Op::TraceDump) {
-        response.result = handleTraceDump(request);
-      } else if (request.op == Op::Events) {
-        response.result = handleEvents(request);
-      } else {
-        // Engine-bound op: bracket it for energy attribution — study
-        // runs executed inside credit their joules to this request's
-        // trace id (cache hits run nothing, so they credit nothing).
-        metrics_.energy().beginRequest(ctx.traceId(), opToken(request.op));
-        try {
-          ServiceEngine::Outcome outcome = engine_.handle(ctx, request);
-          response.result = std::move(outcome.result);
-          response.cached = outcome.cached;
-        } catch (...) {
-          metrics_.energy().endRequest(ctx.traceId());
-          throw;
-        }
+    if (request.op == Op::Register || request.op == Op::Heartbeat ||
+        request.op == Op::Claim) {
+      answer.result = handleFleetOp(request).dump();
+    } else if (request.op == Op::TraceDump) {
+      answer.result = handleTraceDump(request).dump();
+    } else {
+      // Engine-bound op (a cache miss or a ping): bracket it for energy
+      // attribution — study runs executed inside credit their joules to
+      // this request's trace id.
+      metrics_.energy().beginRequest(ctx.traceId(), opToken(request.op));
+      try {
+        answer.result = engine_.compute(ctx, task.admission);
+      } catch (...) {
         metrics_.energy().endRequest(ctx.traceId());
+        throw;
       }
-    } catch (const util::CancelledError& e) {
-      cancelled = true;
-      response.status = "error";
-      response.error = e.what();
-    } catch (const std::exception& e) {
-      response.status = "error";
-      response.error = e.what();
+      metrics_.energy().endRequest(ctx.traceId());
     }
-    response.elapsedMs = millisSince(task.enqueued);
-    metrics_.recordRequest(request.op, response.elapsedMs, response.cached,
-                           !response.ok());
-    if (cancelled) metrics_.recordCancelled();
-
-    const bool fleetTraced = request.traceId != 0;
-    if (request.trace || fleetTraced) {
-      // Request-level span wrapping the whole dispatch; the propagated
-      // parent_span (the coordinator's dispatch span) keeps the causal
-      // edge across the process boundary in a merged trace.
-      telemetry::TraceSpan span;
-      span.name = std::string("request/") + opToken(request.op);
-      span.category = "service";
-      span.traceId = ctx.traceId();
-      span.parentSpan = request.parentSpan;
-      span.threadId = util::threadIndex();
-      span.startUs = requestStartUs;
-      span.durationUs = telemetry::traceNowUs() - requestStartUs;
-      span.args.emplace_back("op", opToken(request.op));
-      span.args.emplace_back("status", response.status);
-      span.args.emplace_back("cache_hit", response.cached ? "true" : "false");
-      if (cancelled) span.args.emplace_back("cancelled", "true");
-      const std::string id = workerId();
-      if (!id.empty()) span.args.emplace_back("worker", id);
-
-      if (request.trace) {
-        // In-band span dump for this request: every kernel phase the
-        // run recorded (none survive from earlier requests — beginRun
-        // cleared the tracer, so a cancelled run leaves no orphan spans
-        // either) plus the request-level span.
-        telemetry::TraceSink sink;
-        sink.addPhases(ctx.tracer(), ctx.traceId());
-        sink.add(span);
-        response.trace = Json::parse(sink.toChromeJson());
-      }
-      if (fleetTraced && !cancelled) {
-        // Retain for `trace_dump`.  Cancelled fleet requests retain
-        // nothing: the coordinator re-dispatches the unit under the
-        // same trace id, and the completed attempt must be the only
-        // one in the merged trace (no orphan spans).
-        traceBuffer_.addPhases(ctx.tracer(), ctx.traceId());
-        traceBuffer_.add(std::move(span));
-      }
-    }
+  } catch (const util::CancelledError& e) {
+    answer.cancelled = true;
+    answer.status = "error";
+    answer.error = e.what();
   } catch (const std::exception& e) {
-    // The frame itself did not parse to a request.
-    metrics_.recordBadRequest();
-    response.status = "error";
-    response.error = e.what();
-    response.elapsedMs = millisSince(task.enqueued);
+    answer.status = "error";
+    answer.error = e.what();
   }
-  writeLine(*task.conn, toJson(response).dump());
+  std::string reply;
+  finish(request, answer, task.admitted, startUs, &ctx, reply);
+  writeReplies(*task.conn, reply);
 }
 
-void Server::writeLine(Connection& conn, const std::string& line) {
+void Server::finish(const Request& request, const Answer& answer,
+                    std::chrono::steady_clock::time_point admitted,
+                    std::uint64_t startUs, util::ExecutionContext* ctx,
+                    std::string& out) {
+  const bool ok = answer.status == "ok";
+  const double elapsedMs = millisSince(admitted);
+  metrics_.recordRequest(request.op, elapsedMs, answer.cached, !ok);
+  if (answer.cancelled) metrics_.recordCancelled();
+
+  Json trace;
+  if (request.trace || request.traceId != 0) {
+    trace = traceRequest(request, answer, startUs, ctx);
+  }
+  if (ok) {
+    appendOkReply(out, request.id, request.op, answer.cached, elapsedMs,
+                  answer.result, trace);
+    out += '\n';
+  } else {
+    out += statusLine(&request, answer.status, answer.error, std::move(trace));
+  }
+}
+
+Json Server::traceRequest(const Request& request, const Answer& answer,
+                          std::uint64_t startUs, util::ExecutionContext* ctx) {
+  // A request answered on its reader has no context; it still needs an
+  // id for its span, the propagated one or a local one.
+  std::uint64_t traceId = request.traceId;
+  if (ctx != nullptr) {
+    traceId = ctx->traceId();
+  } else if (traceId == 0) {
+    traceId = nextTraceId_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Request-level span wrapping the whole dispatch; the propagated
+  // parent_span (the coordinator's dispatch span) keeps the causal edge
+  // across the process boundary in a merged trace.
+  telemetry::TraceSpan span;
+  span.name = std::string("request/") + opToken(request.op);
+  span.category = "service";
+  span.traceId = traceId;
+  span.parentSpan = request.parentSpan;
+  span.threadId = util::threadIndex();
+  span.startUs = startUs;
+  span.durationUs = telemetry::traceNowUs() - startUs;
+  span.args.emplace_back("op", opToken(request.op));
+  span.args.emplace_back("status", answer.status);
+  span.args.emplace_back("cache_hit", answer.cached ? "true" : "false");
+  if (answer.cancelled) span.args.emplace_back("cancelled", "true");
+  const std::string id = workerId();
+  if (!id.empty()) span.args.emplace_back("worker", id);
+
+  Json trace;
+  if (request.trace) {
+    // In-band span dump for this request: every kernel phase the run
+    // recorded (none survive from earlier requests — beginRun cleared
+    // the tracer, so a cancelled run leaves no orphan spans either) plus
+    // the request-level span.
+    telemetry::TraceSink sink;
+    if (ctx != nullptr) sink.addPhases(ctx->tracer(), traceId);
+    sink.add(span);
+    trace = Json::parse(sink.toChromeJson());
+  }
+  if (request.traceId != 0 && !answer.cancelled) {
+    // Retain for `trace_dump`.  Cancelled fleet requests retain nothing:
+    // the coordinator re-dispatches the unit under the same trace id,
+    // and the completed attempt must be the only one in the merged
+    // trace (no orphan spans).
+    if (ctx != nullptr) traceBuffer_.addPhases(ctx->tracer(), traceId);
+    traceBuffer_.add(std::move(span));
+  }
+  return trace;
+}
+
+void Server::writeReplies(Connection& conn, const std::string& bytes) {
   std::lock_guard lock(conn.writeMutex);
-  std::string frame = line;
-  frame += '\n';
   std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(conn.fd, frame.data() + sent, frame.size() - sent,
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(conn.fd, bytes.data() + sent, bytes.size() - sent,
                              MSG_NOSIGNAL);
-    if (n <= 0) return;  // client gone; drop the response
+    if (n <= 0) return;  // client gone; drop the replies
     sent += static_cast<std::size_t>(n);
   }
 }
 
-void Server::respondOverloaded(Connection& conn, const std::string& line) {
-  respondStatus(conn, line, "overloaded", "request queue is full, retry later");
-}
-
-void Server::respondStatus(Connection& conn, const std::string& line,
-                           const std::string& status,
-                           const std::string& message) {
+std::string Server::statusLine(const Request* request,
+                               const std::string& status,
+                               const std::string& message, Json trace) const {
   Response response;
   response.status = status;
   response.error = message;
-  // Best-effort id echo so the client can correlate the rejection.
-  try {
-    const Json json = Json::parse(line, config_.maxJsonDepth);
-    if (const Json* id = json.find("id")) response.id = id->asString();
-    if (const Json* op = json.find("op")) {
-      response.op = parseOpToken(op->asString());
-    }
-  } catch (const std::exception&) {
-    // Unparseable or empty: reply without correlation fields.
+  response.trace = std::move(trace);
+  if (request != nullptr) {
+    // The id echo lets the client correlate the rejection.
+    response.id = request->id;
+    response.op = request->op;
   }
-  writeLine(conn, toJson(response).dump());
+  return toJson(response).dump() + '\n';
 }
 
 }  // namespace pviz::service

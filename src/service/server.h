@@ -5,13 +5,19 @@
 //   * one accept thread (poll with a short timeout, so shutdown needs
 //     no signal tricks),
 //   * one reader thread per connection (bounded by maxConnections;
-//     finished readers are reaped on the next accept),
-//   * a fixed pool of request workers draining one bounded queue.
+//     finished readers are reaped on the next accept).  The reader
+//     parses each frame once and answers what runs nothing itself:
+//     parse errors, result-cache hits (the stored bytes spliced into
+//     the reply envelope) and stats / metrics / events.  The replies to
+//     one recv go out in one send,
+//   * a fixed pool of request workers draining one bounded queue of
+//     parsed requests: cache misses, ping, the fleet ops, trace_dump.
 //
-// Admission control and backpressure: a request that arrives while the
-// queue is full is answered immediately with an `overloaded` response
-// instead of being buffered — queue depth, not client count, bounds the
-// server's memory and its worst-case latency.  A connection past
+// Admission control and backpressure: a request that must run and
+// arrives while the queue is full is answered immediately with an
+// `overloaded` response instead of being buffered — queue depth, not
+// client count, bounds the server's memory and its worst-case latency.
+// Hits and the metric ops take no queue slot.  A connection past
 // maxConnections gets a single `overloaded` line and is closed (shed).
 //
 // Robustness against misbehaving clients: the reader enforces a hard
@@ -128,10 +134,22 @@ class Server {
     std::atomic<bool> readerDone{false};
   };
 
+  /// A request admitted to the queue: parsed, and for engine ops looked
+  /// up in the result cache (a miss).  Fleet ops and trace_dump carry
+  /// only the request.
   struct Task {
     std::shared_ptr<Connection> conn;
-    std::string line;
-    std::chrono::steady_clock::time_point enqueued;
+    ServiceEngine::Admission admission;
+    std::chrono::steady_clock::time_point admitted;
+  };
+
+  /// What answering one request produced, before its reply is written.
+  struct Answer {
+    std::string status = "ok";  ///< "ok" | "error"
+    std::string error;          ///< set when status != "ok"
+    std::string result;         ///< the serialized payload when ok
+    bool cached = false;
+    bool cancelled = false;
   };
 
   void acceptLoop();
@@ -139,11 +157,30 @@ class Server {
   void workerLoop();
   void reapReaders(bool joinAll);
 
+  /// Admit one frame on its connection's reader: parse it, answer what
+  /// runs nothing (parse errors, result-cache hits, stats, metrics,
+  /// events) into `replies`, and queue the rest — or answer
+  /// `overloaded` when the queue is full.
+  void admit(const std::shared_ptr<Connection>& conn, const std::string& line,
+             std::string& replies);
   /// False when the queue is full (the caller answers `overloaded`).
   bool tryEnqueue(Task task);
   /// `ctx` is the worker's long-lived execution context: its arena is
   /// reused across requests, its cancel token reset per request.
   void process(Task& task, util::ExecutionContext& ctx);
+  /// Record one answered request in the metrics and append its reply
+  /// line to `out`.  `ctx` is the worker's context the request ran on,
+  /// or null for a request answered on its reader.
+  void finish(const Request& request, const Answer& answer,
+              std::chrono::steady_clock::time_point admitted,
+              std::uint64_t startUs, util::ExecutionContext* ctx,
+              std::string& out);
+  /// The request/<op> span of a request that asked for `trace` or
+  /// carries a fleet trace id: returned as the reply's Chrome trace
+  /// (with the phases the run recorded on `ctx`) for the former,
+  /// retained for `trace_dump` for the latter.
+  Json traceRequest(const Request& request, const Answer& answer,
+                    std::uint64_t startUs, util::ExecutionContext* ctx);
   /// register / heartbeat / claim — answered from server state, never
   /// dispatched to the engine.
   Json handleFleetOp(const Request& request);
@@ -152,12 +189,13 @@ class Server {
   Json handleTraceDump(const Request& request);
   /// events: recent structured event-ring entries, oldest first.
   Json handleEvents(const Request& request);
-  void writeLine(Connection& conn, const std::string& line);
-  void respondOverloaded(Connection& conn, const std::string& line);
-  /// One `status` reply (error/overloaded) with best-effort id/op echo
-  /// scraped from `line` (empty line = no correlation fields).
-  void respondStatus(Connection& conn, const std::string& line,
-                     const std::string& status, const std::string& message);
+  /// Send `bytes`, whole reply lines, under the connection's write
+  /// lock, so lines from its reader and the workers never interleave.
+  void writeReplies(Connection& conn, const std::string& bytes);
+  /// One `status` reply line (error/overloaded), newline included,
+  /// echoing the request's id and op (none when `request` is null).
+  std::string statusLine(const Request* request, const std::string& status,
+                         const std::string& message, Json trace = {}) const;
 
   ServerConfig config_;
   ServiceEngine engine_;

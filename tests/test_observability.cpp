@@ -552,6 +552,15 @@ TEST(ServerObservability, TraceDumpRetainsPropagatedSpansAndClears) {
   classify.parentSpan = 777;
   ASSERT_TRUE(client.request(classify).ok());
 
+  // The same classify again under another fleet trace: a cache hit,
+  // answered without a worker, still leaves its request span.
+  Request hit = classify;
+  hit.traceId = 778;
+  hit.parentSpan = 778;
+  const Response hitReply = client.request(hit);
+  ASSERT_TRUE(hitReply.ok());
+  ASSERT_TRUE(hitReply.cached);
+
   // An untraced ping must leave nothing in the buffer.
   Request ping;
   ping.op = Op::Ping;
@@ -565,8 +574,20 @@ TEST(ServerObservability, TraceDumpRetainsPropagatedSpansAndClears) {
   const Json::Array& spans = reply.result.find("spans")->asArray();
   ASSERT_FALSE(spans.empty());
   bool sawRequestSpan = false;
+  int hitSpans = 0;
   for (const Json& row : spans) {
     const telemetry::TraceSpan span = service::traceSpanFromJson(row);
+    if (span.traceId == 778u) {
+      // The hit ran no kernel: its request span is all it leaves.
+      ++hitSpans;
+      EXPECT_EQ(span.name, "request/classify");
+      EXPECT_EQ(span.parentSpan, 778u);
+      const auto cacheHit =
+          std::find(span.args.begin(), span.args.end(),
+                    std::pair<std::string, std::string>("cache_hit", "true"));
+      EXPECT_NE(cacheHit, span.args.end());
+      continue;
+    }
     EXPECT_EQ(span.traceId, 777u) << span.name;
     if (span.name == "request/classify") {
       sawRequestSpan = true;
@@ -575,6 +596,7 @@ TEST(ServerObservability, TraceDumpRetainsPropagatedSpansAndClears) {
     }
   }
   EXPECT_TRUE(sawRequestSpan);
+  EXPECT_EQ(hitSpans, 1);
   EXPECT_GT(reply.result.find("now_us")->asNumber(), 0.0);
 
   // clearTrace drained the buffer.

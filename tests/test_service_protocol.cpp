@@ -468,6 +468,37 @@ TEST(Protocol, OkResponseRoundTrip) {
   EXPECT_EQ(parsed.result.find("class")->asString(), "opportunity");
 }
 
+// The spliced envelope of an `ok` reply writes the bytes toJson(Response)
+// would, for ids that need escapes, fractional and integral elapsed
+// times, both cache flags, and with or without a trace.
+TEST(Protocol, OkReplyEnvelopeMatchesToJson) {
+  Json result = Json::object();
+  result.set("ratio", 0.1);
+  result.set("name", "a\"b");
+  Json trace = Json::object();
+  trace.set("traceEvents", Json::array());
+  for (const std::string& id : {std::string(""), std::string("q\"\\"),
+                               std::string("ctl\x01\x1f\n")}) {
+    for (const double elapsedMs : {0.0, 12.0, 0.30000000000000004}) {
+      for (const bool cached : {false, true}) {
+        for (const bool traced : {false, true}) {
+          Response response;
+          response.id = id;
+          response.op = Op::Budget;
+          response.cached = cached;
+          response.elapsedMs = elapsedMs;
+          response.result = result;
+          if (traced) response.trace = trace;
+          std::string line;
+          appendOkReply(line, id, Op::Budget, cached, elapsedMs, result.dump(),
+                        response.trace);
+          EXPECT_EQ(line, toJson(response).dump());
+        }
+      }
+    }
+  }
+}
+
 TEST(Protocol, ErrorAndOverloadedResponseRoundTrip) {
   for (const char* status : {"error", "overloaded"}) {
     Response response;

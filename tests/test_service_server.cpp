@@ -24,6 +24,7 @@
 #include "service/client.h"
 #include "service/json.h"
 #include "service/protocol.h"
+#include "service/result_cache.h"
 #include "service/server.h"
 #include "telemetry/prometheus.h"
 #include "util/error.h"
@@ -49,6 +50,20 @@ Request classifyRequest(vis::Id size = 12) {
   request.algorithm = core::Algorithm::Contour;
   request.size = size;
   return request;
+}
+
+/// A reply line must be exactly the canonical dump of the response it
+/// parses to: the spliced envelope writes what toJson(Response) would.
+void expectCanonicalReply(const std::string& line) {
+  EXPECT_EQ(toJson(responseFromJson(Json::parse(line))).dump(), line);
+}
+
+/// The raw `result` bytes of an untraced `ok` reply line.
+std::string resultBytes(const std::string& line) {
+  const std::string marker = ",\"result\":";
+  const std::size_t at = line.find(marker);
+  if (at == std::string::npos || line.back() != '}') return "";
+  return line.substr(at + marker.size(), line.size() - at - marker.size() - 1);
 }
 
 TEST(ServiceServer, PingRoundTrip) {
@@ -115,6 +130,28 @@ TEST(ServiceServer, ConcurrentClassifyIdenticalResultsAndCacheHit) {
   EXPECT_TRUE(cachedResponse.cached);
   EXPECT_EQ(cachedResponse.result.dump(), *distinct.begin());
   EXPECT_GE(server.engine().cache().stats().hits, 1u);
+
+  // A hit's line is the stored result spliced into the envelope: the
+  // canonical dump of the same fields, for ids that need JSON escapes
+  // too, carrying the miss's result bytes unchanged.
+  Request fresh = classifyRequest(14);
+  fresh.id = "miss";
+  const std::string missLine = follower.exchangeLine(toJson(fresh).dump());
+  expectCanonicalReply(missLine);
+  ASSERT_FALSE(responseFromJson(Json::parse(missLine)).cached) << missLine;
+  const std::string missResult = resultBytes(missLine);
+  ASSERT_FALSE(missResult.empty()) << missLine;
+  for (const std::string& id :
+       {std::string("q\"uote"), std::string("back\\slash"),
+        std::string("ctl\x01\t\n")}) {
+    fresh.id = id;
+    const std::string hitLine = follower.exchangeLine(toJson(fresh).dump());
+    expectCanonicalReply(hitLine);
+    const Response hit = responseFromJson(Json::parse(hitLine));
+    EXPECT_EQ(hit.id, id);
+    EXPECT_TRUE(hit.cached) << hitLine;
+    EXPECT_EQ(resultBytes(hitLine), missResult);
+  }
 
   server.stop();
 }
@@ -251,6 +288,19 @@ TEST(ServiceServer, TracedRequestReturnsChromeSpans) {
   EXPECT_EQ(requestSpans, 1);
   EXPECT_NE(traceId, "");
 
+  // A traced hit runs nothing, so its trace is exactly the request
+  // span, marked as a cache hit, and its line is still canonical.
+  const std::string hitLine = client.exchangeLine(toJson(request).dump());
+  expectCanonicalReply(hitLine);
+  const Response hit = responseFromJson(Json::parse(hitLine));
+  ASSERT_EQ(hit.status, "ok");
+  EXPECT_TRUE(hit.cached);
+  ASSERT_FALSE(hit.trace.isNull());
+  const Json::Array& hitEvents = hit.trace.find("traceEvents")->asArray();
+  ASSERT_EQ(hitEvents.size(), 1u);
+  EXPECT_EQ(hitEvents[0].find("name")->asString(), "request/classify");
+  EXPECT_EQ(hitEvents[0].find("args")->find("cache_hit")->asString(), "true");
+
   // An untraced request gets no trace payload.
   const Response untraced = client.request(classifyRequest());
   EXPECT_TRUE(untraced.trace.isNull());
@@ -371,6 +421,106 @@ TEST(ServiceServer, OverloadedWhenQueueFull) {
   EXPECT_EQ(statuses[0], "ok");
   EXPECT_EQ(statuses[1], "ok");
   EXPECT_GE(server.metrics().snapshot().overloaded, 1u);
+
+  server.stop();
+}
+
+// Cache hits and stats run nothing, so they are answered at admission
+// even while the worker and the queue are both taken; work that runs
+// is still refused.
+TEST(ServiceServer, CachedHitsAndStatsSkipAFullQueue) {
+  ServerConfig config = testConfig();
+  config.workers = 1;
+  config.maxQueueDepth = 1;
+  Server server(config);
+  server.start();
+
+  ServiceClient warm("127.0.0.1", server.port());
+  const Response miss = warm.request(classifyRequest());
+  ASSERT_EQ(miss.status, "ok");
+  ASSERT_FALSE(miss.cached);
+
+  Request slowPing;
+  slowPing.op = Op::Ping;
+  slowPing.delayMs = 400;
+  std::vector<std::string> statuses(2);
+  // Occupy the worker, then the queue slot.
+  std::thread first([&] {
+    ServiceClient client("127.0.0.1", server.port());
+    statuses[0] = client.request(slowPing).status;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::thread second([&] {
+    ServiceClient client("127.0.0.1", server.port());
+    statuses[1] = client.request(slowPing).status;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  ServiceClient third("127.0.0.1", server.port());
+  const auto start = std::chrono::steady_clock::now();
+  const Response hit = third.request(classifyRequest());
+  EXPECT_EQ(hit.status, "ok");
+  EXPECT_TRUE(hit.cached);
+  EXPECT_EQ(hit.result.dump(), miss.result.dump());
+  Request statsRequest;
+  statsRequest.op = Op::Stats;
+  EXPECT_EQ(third.request(statsRequest).status, "ok");
+  const double waitedMs = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_LT(waitedMs, 150.0) << "answered behind the queued pings";
+
+  Request fastPing;
+  fastPing.op = Op::Ping;
+  EXPECT_EQ(third.request(fastPing).status, "overloaded");
+
+  first.join();
+  second.join();
+  EXPECT_EQ(statuses[0], "ok");
+  EXPECT_EQ(statuses[1], "ok");
+
+  server.stop();
+}
+
+// One miss and N hits of one key, over two connections: the cache,
+// the per-op counters and the energy section each count every request
+// once, and only the miss ran anything to credit joules to.
+TEST(ServiceServer, EachRequestIsCountedOnce) {
+  Server server(testConfig());
+  server.start();
+
+  Request study;
+  study.op = Op::Study;
+  study.algorithms = {core::Algorithm::Contour};
+  study.sizes = {8};
+  study.capsWatts = {120.0, 80.0};
+  study.cycles = 2;
+  ServiceClient a("127.0.0.1", server.port());
+  ServiceClient b("127.0.0.1", server.port());
+  const Response miss = a.request(study);
+  ASSERT_EQ(miss.status, "ok");
+  ASSERT_FALSE(miss.cached);
+  constexpr int kHits = 5;
+  for (int i = 0; i < kHits; ++i) {
+    const Response hit = (i % 2 == 0 ? b : a).request(study);
+    ASSERT_EQ(hit.status, "ok");
+    EXPECT_TRUE(hit.cached);
+  }
+
+  const ResultCache::Stats cache = server.engine().cache().stats();
+  EXPECT_EQ(cache.hits, static_cast<std::uint64_t>(kHits));
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.insertions, 1u);
+
+  Request statsRequest;
+  statsRequest.op = Op::Stats;
+  const Response stats = a.request(statsRequest);
+  ASSERT_EQ(stats.status, "ok");
+  const Json* studyOp = stats.result.find("ops")->find("study");
+  ASSERT_NE(studyOp, nullptr);
+  EXPECT_EQ(studyOp->find("requests")->asInt(), kHits + 1);
+  EXPECT_EQ(studyOp->find("cache_hits")->asInt(), kHits);
+  EXPECT_EQ(stats.result.find("energy")->find("requests")->asInt(), 1);
 
   server.stop();
 }
@@ -510,6 +660,27 @@ TEST(ServiceChaos, SlowLorisFrameTimesOut) {
 
   server.stop();
   EXPECT_EQ(server.metrics().snapshot().connectionsActive, 0u);
+}
+
+// The frame deadline runs from the frame's first byte, not from the
+// start of the poll that waited for it: a frame begun 60 ms after
+// connect and finished 120 ms later is inside a 150 ms deadline.
+TEST(ServiceChaos, FrameDeadlineStartsAtFirstByte) {
+  ServerConfig config = testConfig();
+  config.frameTimeoutMs = 150;
+  Server server(config);
+  server.start();
+
+  MisbehavingClient client("127.0.0.1", server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(client.sendRaw("{\"op\":\"ping\",\"id\":\"late\""));
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  ASSERT_TRUE(client.sendRaw("}\n"));
+  const std::string reply = client.readLine(3000);
+  EXPECT_NE(reply.find("\"ok\""), std::string::npos) << reply;
+  EXPECT_EQ(server.metrics().snapshot().timeouts, 0u);
+
+  server.stop();
 }
 
 TEST(ServiceChaos, IdleConnectionTimesOut) {
