@@ -21,7 +21,7 @@ PipelineReport runInSituPipeline(util::ExecutionContext& ctx,
 
   PipelineReport report;
   double vizSecondsTotal = 0.0;
-  std::vector<double> previousVelocity;  // last cycle's velocity samples
+  util::Buffer<double> previousVelocity;  // last cycle's velocity samples
 
   for (int cycle = 0; cycle < config.cycles; ++cycle) {
     ctx.cancel().throwIfCancelled();  // per-cycle cancellation point

@@ -52,7 +52,8 @@ class ServiceMetrics {
     std::uint64_t overloaded = 0;       ///< admission-control rejections
     std::uint64_t badRequests = 0;      ///< unparseable frames
     std::uint64_t timeouts = 0;         ///< deadline violations (idle,
-                                        ///< stalled frame, request budget)
+                                        ///< stalled frame or reply write,
+                                        ///< request budget)
     std::uint64_t cancelled = 0;        ///< kernels stopped mid-run by the
                                         ///< request's cancellation token
     std::uint64_t rejectedFrames = 0;   ///< frames over the size bound
@@ -75,7 +76,8 @@ class ServiceMetrics {
   /// One frame that did not parse to a request.
   void recordBadRequest();
   /// One deadline violation: connection idle too long, a started frame
-  /// that stalled, or a request whose wall-clock budget expired.
+  /// or a reply write that stalled, or a request whose wall-clock budget
+  /// expired.
   void recordTimeout();
   /// One request whose kernel was stopped mid-run by its cancellation
   /// token (deadline expiry after dispatch, not while queued).

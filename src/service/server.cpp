@@ -622,9 +622,31 @@ void Server::writeReplies(Connection& conn, const std::string& bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n = ::send(conn.fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) return;  // client gone; drop the replies
-    sent += static_cast<std::size_t>(n);
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+      return;  // client gone; drop the replies
+    }
+    // The socket buffer is full: wait for room, but no longer than the
+    // frame deadline.  A client that stopped reading would otherwise
+    // hold this thread in send() for as long as it keeps the socket
+    // open, and stop() joins this thread.
+    pollfd pfd{conn.fd, POLLOUT, 0};
+    const int ready = ::poll(
+        &pfd, 1, config_.frameTimeoutMs > 0 ? config_.frameTimeoutMs : -1);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready == 0) {
+      // Cut the connection: its reader's recv sees EOF and every later
+      // write to it fails at once, so the timeout is counted once.
+      metrics_.recordTimeout();
+      ::shutdown(conn.fd, SHUT_RDWR);
+      return;
+    }
+    if (ready < 0) return;
   }
 }
 

@@ -23,7 +23,9 @@
 // Robustness against misbehaving clients: the reader enforces a hard
 // frame-size bound (one `error` reply, then the connection closes — the
 // frame boundary is lost), an idle deadline, and a stalled-frame
-// deadline that cuts off slow-loris writers; the JSON parser refuses
+// deadline that cuts off slow-loris writers; a reply write blocked
+// longer than the frame deadline on a client that stopped reading cuts
+// the connection (`timeouts` counter); the JSON parser refuses
 // nesting deeper than maxJsonDepth; workers drop requests whose
 // wall-clock budget expired while queued (`error` reply, `timeouts`
 // counter) rather than doing stale work.  A request that was dispatched
@@ -70,13 +72,15 @@ struct ServerConfig {
 
   // Deadlines, all in milliseconds; 0 disables the check.  Enforced by
   // the per-connection reader's poll loop (idle / stalled frame) and at
-  // worker dequeue (request budget), with ~100 ms granularity.  The
+  // worker dequeue (request budget), with ~100 ms granularity, and by
+  // every reply write (a send blocked past the frame deadline).  The
   // frame deadline is deliberately tight: a well-behaved localhost
   // client writes a full 1 MiB frame in well under a second, so a frame
   // still incomplete after 5 s is a slow-loris writer, not a slow link.
   int idleTimeoutMs = 300000;    ///< no bytes at all on the connection
   int frameTimeoutMs = 5000;     ///< a started frame that never finishes
-                                 ///< (slow-loris writers)
+                                 ///< (slow-loris writers), or a reply
+                                 ///< write a client never makes room for
   int requestTimeoutMs = 0;      ///< queue-to-dispatch wall-clock budget
 
   /// Per-op p99 latency objectives in milliseconds (op token → target),
@@ -191,6 +195,8 @@ class Server {
   Json handleEvents(const Request& request);
   /// Send `bytes`, whole reply lines, under the connection's write
   /// lock, so lines from its reader and the workers never interleave.
+  /// A send blocked past frameTimeoutMs shuts the connection down and
+  /// drops the unsent bytes.
   void writeReplies(Connection& conn, const std::string& bytes);
   /// One `status` reply line (error/overloaded), newline included,
   /// echoing the request's id and op (none when `request` is null).

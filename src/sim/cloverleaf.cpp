@@ -300,9 +300,9 @@ vis::UniformGrid CloverLeaf::exportForViz(util::ExecutionContext& ctx) const {
   vis::UniformGrid grid(pointDims_, {0, 0, 0}, {h_, h_, h_});
 
   // Cell-to-point averaged energy.
-  vis::Field energy = vis::Field::zeros("energy", vis::Association::Points, 1,
-                                        grid.numPoints());
-  std::vector<double>& e = energy.data();
+  vis::Field energy = vis::Field::forOverwrite(
+      "energy", vis::Association::Points, 1, grid.numPoints());
+  util::Buffer<double>& e = energy.data();
   util::parallelFor(ctx, 0, grid.numPoints(), [&](Id n) {
     const Id i = n % pointDims_.i;
     const Id j = (n / pointDims_.i) % pointDims_.j;
@@ -326,9 +326,9 @@ vis::UniformGrid CloverLeaf::exportForViz(util::ExecutionContext& ctx) const {
   });
   grid.addField(std::move(energy));
 
-  vis::Field velocity = vis::Field::zeros(
+  vis::Field velocity = vis::Field::forOverwrite(
       "velocity", vis::Association::Points, 3, grid.numPoints());
-  std::vector<double>& v = velocity.data();
+  util::Buffer<double>& v = velocity.data();
   util::parallelFor(ctx, 0, grid.numPoints(), [&](Id n) {
     const auto ni = static_cast<std::size_t>(n);
     v[ni * 3] = velX_[ni];
@@ -375,12 +375,12 @@ vis::UniformGrid makeCloverField(util::ExecutionContext& ctx, Id cellsPerAxis,
   vis::UniformGrid grid = vis::UniformGrid::cube(cellsPerAxis);
   const Id numPoints = grid.numPoints();
 
-  vis::Field energy =
-      vis::Field::zeros("energy", vis::Association::Points, 1, numPoints);
-  vis::Field velocity =
-      vis::Field::zeros("velocity", vis::Association::Points, 3, numPoints);
-  std::vector<double>& e = energy.data();
-  std::vector<double>& v = velocity.data();
+  vis::Field energy = vis::Field::forOverwrite(
+      "energy", vis::Association::Points, 1, numPoints);
+  vis::Field velocity = vis::Field::forOverwrite(
+      "velocity", vis::Association::Points, 3, numPoints);
+  util::Buffer<double>& e = energy.data();
+  util::Buffer<double>& v = velocity.data();
 
   const double frontRadius = front * std::sqrt(3.0);
   util::parallelFor(ctx, 0, numPoints, [&](Id n) {

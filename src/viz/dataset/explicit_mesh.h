@@ -6,20 +6,21 @@
 //  * HexSubset    — threshold (whole cells kept or dropped).
 //  * PolylineSet  — particle advection streamlines.
 //
-// All carry an optional per-point scalar used for coloring.
+// All carry an optional per-point scalar used for coloring.  Arrays are
+// util::Buffers: a kernel sizes its output once and its parallel fill
+// writes every slot, so sizing writes nothing.
 #pragma once
 
-#include <vector>
-
+#include "util/buffer.h"
 #include "util/error.h"
 #include "viz/types.h"
 
 namespace pviz::vis {
 
 struct TriangleMesh {
-  std::vector<Vec3> points;
-  std::vector<Id> connectivity;       // 3 point ids per triangle
-  std::vector<double> pointScalars;   // empty or one per point
+  util::Buffer<Vec3> points;
+  util::Buffer<Id> connectivity;      // 3 point ids per triangle
+  util::Buffer<double> pointScalars;  // empty or one per point
 
   Id numTriangles() const { return static_cast<Id>(connectivity.size()) / 3; }
   Id numPoints() const { return static_cast<Id>(points.size()); }
@@ -58,9 +59,9 @@ struct TriangleMesh {
 };
 
 struct TetMesh {
-  std::vector<Vec3> points;
-  std::vector<Id> connectivity;      // 4 point ids per tetrahedron
-  std::vector<double> pointScalars;  // empty or one per point
+  util::Buffer<Vec3> points;
+  util::Buffer<Id> connectivity;      // 4 point ids per tetrahedron
+  util::Buffer<double> pointScalars;  // empty or one per point
 
   Id numTets() const { return static_cast<Id>(connectivity.size()) / 4; }
   Id numPoints() const { return static_cast<Id>(points.size()); }
@@ -84,8 +85,8 @@ struct TetMesh {
 
 /// Cells of a source grid kept by value-based selection (threshold).
 struct HexSubset {
-  std::vector<Id> cellIds;     // flat cell ids into the source grid
-  std::vector<double> cellScalars;  // selected-field value per kept cell
+  util::Buffer<Id> cellIds;          // flat cell ids into the source grid
+  util::Buffer<double> cellScalars;  // selected-field value per kept cell
 
   Id numCells() const { return static_cast<Id>(cellIds.size()); }
 };
@@ -93,9 +94,9 @@ struct HexSubset {
 /// A bundle of polylines (streamlines): `offsets` has one entry per line
 /// plus a final sentinel, indexing into `points`.
 struct PolylineSet {
-  std::vector<Vec3> points;
-  std::vector<Id> offsets{0};
-  std::vector<double> pointScalars;  // e.g. integration time / speed
+  util::Buffer<Vec3> points;
+  util::Buffer<Id> offsets{0};
+  util::Buffer<double> pointScalars;  // e.g. integration time / speed
 
   Id numLines() const { return static_cast<Id>(offsets.size()) - 1; }
   Id lineSize(Id line) const {

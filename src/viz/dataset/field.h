@@ -6,8 +6,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
+#include "util/buffer.h"
 #include "util/error.h"
 #include "viz/types.h"
 
@@ -19,7 +19,7 @@ class Field {
  public:
   Field() = default;
   Field(std::string name, Association assoc, int components,
-        std::vector<double> data)
+        util::Buffer<double> data)
       : name_(std::move(name)),
         assoc_(assoc),
         components_(components),
@@ -29,12 +29,22 @@ class Field {
                  "field data size must be a multiple of component count");
   }
 
-  /// Construct an uninitialized scalar/vector field of `count` tuples.
+  /// A scalar/vector field of `count` tuples whose values are left
+  /// unwritten: the caller's fill must write every value.
+  static Field forOverwrite(std::string name, Association assoc,
+                            int components, Id count) {
+    return Field(std::move(name), assoc, components,
+                 util::Buffer<double>(static_cast<std::size_t>(count) *
+                                      static_cast<std::size_t>(components)));
+  }
+
+  /// A scalar/vector field of `count` tuples, every value zero.
   static Field zeros(std::string name, Association assoc, int components,
                      Id count) {
     return Field(std::move(name), assoc, components,
-                 std::vector<double>(static_cast<std::size_t>(count) *
-                                     static_cast<std::size_t>(components)));
+                 util::Buffer<double>(static_cast<std::size_t>(count) *
+                                          static_cast<std::size_t>(components),
+                                      0.0));
   }
 
   const std::string& name() const { return name_; }
@@ -65,8 +75,8 @@ class Field {
     data_[base + 2] = v.z;
   }
 
-  const std::vector<double>& data() const { return data_; }
-  std::vector<double>& data() { return data_; }
+  const util::Buffer<double>& data() const { return data_; }
+  util::Buffer<double>& data() { return data_; }
 
   /// [min, max] over the first component; {0,0} for empty fields.
   std::pair<double, double> range() const;
@@ -80,7 +90,7 @@ class Field {
   std::string name_;
   Association assoc_ = Association::Points;
   int components_ = 1;
-  std::vector<double> data_;
+  util::Buffer<double> data_;
 };
 
 }  // namespace pviz::vis

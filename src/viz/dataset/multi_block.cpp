@@ -173,7 +173,7 @@ MultiBlockGrid::CopyStats MultiBlockGrid::exchangeGhosts(
     std::vector<CopyJob> gather;
     for (const FieldInfo& fi : fieldInfo_) {
       const bool onPoints = fi.assoc == Association::Points;
-      blk.owned.addField(Field::zeros(
+      blk.owned.addField(Field::forOverwrite(
           fi.name, fi.assoc, fi.components,
           onPoints ? blk.owned.numPoints() : blk.owned.numCells()));
       const Id elems = (onPoints ? pointPlane : cellPlane) * fi.components;
@@ -201,9 +201,9 @@ UniformGrid MultiBlockGrid::stitchGlobal(util::ExecutionContext& ctx) {
   std::vector<CopyJob> jobs;
   for (const FieldInfo& fi : fieldInfo_) {
     const bool onPoints = fi.assoc == Association::Points;
-    global.addField(Field::zeros(fi.name, fi.assoc, fi.components,
-                                 onPoints ? global.numPoints()
-                                          : global.numCells()));
+    global.addField(Field::forOverwrite(fi.name, fi.assoc, fi.components,
+                                        onPoints ? global.numPoints()
+                                                 : global.numCells()));
     double* dstData = global.field(fi.name).data().data();
     const Id elems = (onPoints ? pointPlane : cellPlane) * fi.components;
     for (Id bi = 0; bi < numBlocks(); ++bi) {

@@ -1,7 +1,6 @@
 #include "viz/filters/clip_common.h"
 
 #include <array>
-#include <numeric>
 #include <optional>
 
 #include "util/exec_context.h"
@@ -213,7 +212,6 @@ void resizeTetSoup(TetMesh& mesh, Id tets) {
   mesh.points.resize(n);
   mesh.pointScalars.resize(n);
   mesh.connectivity.resize(n);
-  std::iota(mesh.connectivity.begin(), mesh.connectivity.end(), Id{0});
 }
 
 ClipResult clipUniformGrid(util::ExecutionContext& ctx,

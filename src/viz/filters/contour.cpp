@@ -103,7 +103,7 @@ ContourFilter::Result ContourFilter::run(util::ExecutionContext& ctx,
   const auto corner = grid.cellCornerOffsets();
   const Id rowGrain =
       std::max<Id>(1, util::kDefaultGrain / std::max<Id>(Id{1}, rowLen));
-  const std::vector<double>& values = field.data();
+  const util::Buffer<double>& values = field.data();
 
   Result result;
   result.profile.kernel = "contour";

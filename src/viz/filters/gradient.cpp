@@ -15,12 +15,12 @@ GradientFilter::Result GradientFilter::run(
 
   const Id3 dims = grid.pointDims();
   const Vec3 h = grid.spacing();
-  const std::vector<double>& f = field.data();
+  const util::Buffer<double>& f = field.data();
 
   Result result;
-  result.gradient = Field::zeros(fieldName + "-gradient",
-                                 Association::Points, 3, grid.numPoints());
-  std::vector<double>& g = result.gradient.data();
+  result.gradient = Field::forOverwrite(
+      fieldName + "-gradient", Association::Points, 3, grid.numPoints());
+  util::Buffer<double>& g = result.gradient.data();
 
   auto at = [&](Id i, Id j, Id k) {
     return f[static_cast<std::size_t>(grid.pointId({i, j, k}))];
@@ -71,8 +71,8 @@ Field vectorMagnitude(util::ExecutionContext& ctx, const Field& vectors,
                       const std::string& outputName) {
   PVIZ_REQUIRE(vectors.components() == 3,
                "vectorMagnitude needs a 3-component field");
-  Field out = Field::zeros(outputName, vectors.association(), 1,
-                           vectors.count());
+  Field out = Field::forOverwrite(outputName, vectors.association(), 1,
+                                  vectors.count());
   util::parallelFor(ctx, 0, vectors.count(), [&](Id p) {
     out.setScalar(p, length(vectors.vec3(p)));
   });

@@ -38,7 +38,7 @@ HistogramFilter::Result HistogramFilter::run(util::ExecutionContext& ctx,
   h.bins.assign(static_cast<std::size_t>(bins_), 0);
 
   const double width = hi > lo ? (hi - lo) / bins_ : 1.0;
-  const std::vector<double>& data = field.data();
+  const util::Buffer<double>& data = field.data();
   const auto stride = static_cast<std::size_t>(field.components());
 
   auto binningPhase = ctx.phase("binning");

@@ -53,7 +53,7 @@ IsovolumeFilter::Result IsovolumeFilter::run(
 
   const Id numPoints = grid.numPoints();
   const Id numCells = grid.numCells();
-  const std::vector<double>& f = field.data();
+  const util::Buffer<double>& f = field.data();
   const double lo = lo_;
   const double hi = hi_;
   Result result;

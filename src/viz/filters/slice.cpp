@@ -33,9 +33,9 @@ SliceFilter::Result SliceFilter::run(util::ExecutionContext& ctx,
 
   for (const Plane& plane : planes) {
     const Vec3 n = normalize(plane.normal);
-    Field distance = Field::zeros("slice-distance", Association::Points, 1,
-                                  numPoints);
-    std::vector<double>& d = distance.data();
+    Field distance = Field::forOverwrite("slice-distance",
+                                         Association::Points, 1, numPoints);
+    util::Buffer<double>& d = distance.data();
     {
       auto distPhase = ctx.phase("signed-distance");
       util::parallelFor(ctx, 0, numPoints, [&](Id p) {

@@ -58,7 +58,7 @@ ThresholdFilter::Result ThresholdFilter::run(
   PVIZ_REQUIRE(field.components() == 1, "threshold requires a scalar field");
   const Id numCells = grid.numCells();
   const bool pointAssoc = field.association() == Association::Points;
-  const std::vector<double>& values = field.data();
+  const util::Buffer<double>& values = field.data();
 
   // Pass 1: per-cell value + keep flag, swept as i-rows with incremental
   // index stepping; pass 2 then touches only the kept cells.

@@ -1,6 +1,7 @@
 #include "viz/io/vtk_writer.h"
 
 #include <fstream>
+#include <span>
 
 namespace pviz::vis {
 
@@ -10,14 +11,14 @@ void header(std::ostream& os, const std::string& title) {
   os << "# vtk DataFile Version 3.0\n" << title << "\nASCII\n";
 }
 
-void writePoints(std::ostream& os, const std::vector<Vec3>& points) {
+void writePoints(std::ostream& os, std::span<const Vec3> points) {
   os << "POINTS " << points.size() << " double\n";
   for (const auto& p : points) {
     os << p.x << ' ' << p.y << ' ' << p.z << '\n';
   }
 }
 
-void writePointScalars(std::ostream& os, const std::vector<double>& scalars,
+void writePointScalars(std::ostream& os, std::span<const double> scalars,
                        const std::string& name) {
   if (scalars.empty()) return;
   os << "POINT_DATA " << scalars.size() << "\nSCALARS " << name

@@ -37,8 +37,10 @@ class Camera {
   double tanHalfFov_;
 };
 
-/// `count` cameras equally spaced around `box` at ~30° elevation,
-/// distance chosen so the dataset fills most of the frame.
+/// `count` cameras equally spaced around `box` at ~30° elevation, at
+/// radius / tan(fov/2) × 1.4 + radius from its center.  That frames the
+/// dataset small: at 128³ with 8 cameras at 512², 16.5 % of the rays hit
+/// it.
 std::vector<Camera> cameraOrbit(const Bounds& box, int count,
                                 double fovYDegrees = 45.0);
 

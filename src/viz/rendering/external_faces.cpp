@@ -44,7 +44,7 @@ ExternalFacesResult extractExternalFaces(util::ExecutionContext& ctx,
   const Field& field = grid.field(fieldName);
   PVIZ_REQUIRE(field.association() == Association::Points,
                "external faces carries a point field");
-  const std::vector<double>& values = field.data();
+  const util::Buffer<double>& values = field.data();
   const Id numCells = grid.numCells();
   const Id3 cd = grid.cellDims();
   const Id rows = grid.numCellRows();

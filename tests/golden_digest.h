@@ -20,8 +20,8 @@ class Fnv1a64 {
       h_ *= 1099511628211ull;
     }
   }
-  template <typename T>
-  void add(const std::vector<T>& values) {
+  template <typename T, typename A>
+  void add(const std::vector<T, A>& values) {
     addBytes(values.data(), values.size() * sizeof(T));
   }
   template <typename T>

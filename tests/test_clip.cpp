@@ -213,7 +213,7 @@ TEST(ClipHexCell, EveryCornerSignPatternTilesTheCell) {
   const UniformGrid g = gridWithField(1);
   Id pts[8];
   g.cellPointIds(Id3{0, 0, 0}, pts);
-  const std::vector<double>& carried = g.field("x").data();
+  const util::Buffer<double>& carried = g.field("x").data();
   const double cellVolume = 1.0;
   for (int pattern = 0; pattern < 256; ++pattern) {
     SCOPED_TRACE("pattern=" + std::to_string(pattern));

@@ -107,7 +107,7 @@ TEST(VectorMagnitude, ComputesLengths) {
 
 TEST(Histogram, UniformRampFillsBinsEvenly) {
   util::ExecutionContext ctx;
-  std::vector<double> data(1000);
+  util::Buffer<double> data(1000);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i);
   }
@@ -128,7 +128,7 @@ TEST(Histogram, UniformRampFillsBinsEvenly) {
 
 TEST(Histogram, QuantilesOfAUniformRamp) {
   util::ExecutionContext ctx;
-  std::vector<double> data(10000);
+  util::Buffer<double> data(10000);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<double>(i) / 9999.0;
   }
@@ -145,7 +145,7 @@ TEST(Histogram, QuantilesOfAUniformRamp) {
 
 TEST(Histogram, ConstantFieldLandsInOneBin) {
   util::ExecutionContext ctx;
-  Field f("f", Association::Cells, 1, std::vector<double>(64, 3.0));
+  Field f("f", Association::Cells, 1, util::Buffer<double>(64, 3.0));
   HistogramFilter filter;
   filter.setBinCount(8);
   const Histogram h = filter.run(ctx, f).histogram;

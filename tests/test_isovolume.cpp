@@ -199,7 +199,7 @@ TEST(IsovolumeCell, EveryBelowInsideAbovePatternTilesTheCell) {
       field.setScalar(pts[c], corner[c]);
     }
     g.addField(std::move(field));
-    const std::vector<double>& f = g.field("f").data();
+    const util::Buffer<double>& f = g.field("f").data();
     std::vector<double> belowLo(8);
     std::vector<double> aboveHi(8);
     for (std::size_t p = 0; p < 8; ++p) {

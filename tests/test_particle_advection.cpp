@@ -187,7 +187,7 @@ TEST(ParticleAdvection, ZeroSeedsYieldCanonicalEmptyPolylineSet) {
   filter.setMaxSteps(30);
   const auto result = filter.run(ctx, g, "velocity");
   EXPECT_EQ(result.streamlines.numLines(), 0);
-  EXPECT_EQ(result.streamlines.offsets, (std::vector<Id>{0}));
+  EXPECT_EQ(result.streamlines.offsets, (util::Buffer<Id>{0}));
   EXPECT_TRUE(result.streamlines.points.empty());
   EXPECT_TRUE(result.streamlines.pointScalars.empty());
   EXPECT_EQ(result.totalSteps, 0);

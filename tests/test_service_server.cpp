@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
@@ -681,6 +683,63 @@ TEST(ServiceChaos, FrameDeadlineStartsAtFirstByte) {
   EXPECT_EQ(server.metrics().snapshot().timeouts, 0u);
 
   server.stop();
+}
+
+// A client that pipelines requests and never reads their replies fills
+// the socket buffers until the server's reply write blocks.  That write
+// must give up after the frame deadline, so the drain does not wait on
+// the client.
+TEST(ServiceChaos, StopDoesNotWaitForAClientThatStopsReading) {
+  ServerConfig config = testConfig();
+  config.frameTimeoutMs = 300;
+  Server server(config);
+  server.start();
+
+  MisbehavingClient client("127.0.0.1", server.port());
+  const std::string line =
+      "{\"op\":\"classify\",\"algorithm\":\"contour\",\"size\":12}\n";
+  ASSERT_TRUE(client.sendRaw(line));  // the miss: every later one hits
+  const std::size_t replyBytes = client.readLine(30000).size() + 1;
+  ASSERT_GT(replyBytes, 1u);
+  // A small receive buffer, so about 5 MB of replies cannot fit in the
+  // two sockets' buffers (a send buffer autotunes to at most 4 MiB).
+  const int rcvbuf = 64 * 1024;
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof rcvbuf),
+            0);
+  std::string pipelined;
+  for (std::size_t bytes = 0; bytes < (5u << 20); bytes += replyBytes) {
+    pipelined += line;
+  }
+  std::thread sender([&] { client.sendRaw(pipelined); });
+
+  // Wait until the server stops answering: its reply write is blocked.
+  std::uint64_t answered = 0;
+  for (int stable = 0; stable < 4;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const std::uint64_t now = server.metrics().snapshot().totalRequests;
+    stable = now == answered && now > 1 ? stable + 1 : 0;
+    answered = now;
+  }
+
+  const auto began = std::chrono::steady_clock::now();
+  auto stopped = std::async(std::launch::async, [&] { server.stop(); });
+  const bool returned =
+      stopped.wait_for(std::chrono::milliseconds(config.frameTimeoutMs +
+                                                 1000)) ==
+      std::future_status::ready;
+  const double stopMs = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - began)
+                            .count();
+  EXPECT_TRUE(returned) << "stop() still blocked after " << stopMs << " ms";
+  // Release whatever is still blocked before joining it.
+  ::shutdown(client.fd(), SHUT_RDWR);
+  sender.join();
+  client.closeAbruptly();
+  stopped.get();
+
+  EXPECT_EQ(server.metrics().snapshot().timeouts, 1u);
+  EXPECT_EQ(server.metrics().snapshot().connectionsActive, 0u);
 }
 
 TEST(ServiceChaos, IdleConnectionTimesOut) {
