@@ -4,16 +4,21 @@
 
 namespace pviz::power {
 
+int MsrFile::slot(std::uint32_t address) {
+  switch (address) {
+    case kMsrRaplPowerUnit: return 0;
+    case kMsrPkgPowerLimit: return 1;
+    case kMsrPkgEnergyStatus: return 2;
+    case kMsrAperf: return 3;
+    case kMsrMperf: return 4;
+    default: return -1;
+  }
+}
+
 MsrFile::MsrFile() {
-  allowlist_ = {kMsrRaplPowerUnit, kMsrPkgPowerLimit, kMsrPkgEnergyStatus,
-                kMsrAperf, kMsrMperf};
   // RAPL units register: power unit 2^-3 W (0.125 W), energy unit
   // 2^-14 J (~61 uJ), time unit 2^-10 s — the common Broadwell values.
   rawWrite(kMsrRaplPowerUnit, (0x3ull) | (0xEull << 8) | (0xAull << 16));
-  rawWrite(kMsrPkgPowerLimit, 0);
-  rawWrite(kMsrPkgEnergyStatus, 0);
-  rawWrite(kMsrAperf, 0);
-  rawWrite(kMsrMperf, 0);
 }
 
 std::uint64_t MsrFile::read(std::uint32_t address) const {
@@ -35,12 +40,18 @@ void MsrFile::write(std::uint32_t address, std::uint64_t value) {
 }
 
 std::uint64_t MsrFile::rawRead(std::uint32_t address) const {
-  auto it = registers_.find(address);
-  return it == registers_.end() ? 0 : it->second;
+  const int i = slot(address);
+  return i < 0 ? 0 : registers_[static_cast<std::size_t>(i)];
 }
 
 void MsrFile::rawWrite(std::uint32_t address, std::uint64_t value) {
-  registers_[address] = value;
+  const int i = slot(address);
+  if (i < 0) {
+    std::ostringstream os;
+    os << "no simulated MSR 0x" << std::hex << address;
+    throw MsrAccessError(os.str());
+  }
+  registers_[static_cast<std::size_t>(i)] = value;
 }
 
 }  // namespace pviz::power

@@ -9,9 +9,8 @@
 // layouts (SDM vol. 3B) including the 32-bit wrapping energy counter.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <set>
 
 #include "util/error.h"
 
@@ -38,18 +37,21 @@ class MsrFile {
   std::uint64_t read(std::uint32_t address) const;
   void write(std::uint32_t address, std::uint64_t value);
 
-  /// Raw (allowlist-bypassing) access for the hardware model's own use —
-  /// the simulated "silicon side" of the registers.
+  /// Raw access for the hardware model's own use — the simulated
+  /// "silicon side" of the registers.  The file holds only the
+  /// allowlisted registers: a raw read of any other address returns 0
+  /// and a raw write to one throws MsrAccessError.
   std::uint64_t rawRead(std::uint32_t address) const;
   void rawWrite(std::uint32_t address, std::uint64_t value);
 
-  bool isAllowed(std::uint32_t address) const {
-    return allowlist_.count(address) != 0;
-  }
+  bool isAllowed(std::uint32_t address) const { return slot(address) >= 0; }
 
  private:
-  std::map<std::uint32_t, std::uint64_t> registers_;
-  std::set<std::uint32_t> allowlist_;
+  /// Index of `address` in registers_, or -1 when it is off the
+  /// allowlist: this switch is both the file's layout and the allowlist.
+  static int slot(std::uint32_t address);
+
+  std::array<std::uint64_t, 5> registers_{};
 };
 
 }  // namespace pviz::power

@@ -310,6 +310,19 @@ TEST(Prometheus, ParseRejectsTruncatedHistogram) {
   EXPECT_THROW(telemetry::parsePrometheus(text), pviz::Error);
 }
 
+// A full-length ladder whose bounds differ from the registry's is
+// refused: re-rendering it would silently rewrite the worker's bounds.
+TEST(Prometheus, ParseRejectsForeignBucketBounds) {
+  telemetry::MetricRegistry registry;
+  registry.histogram("x_seconds", {}, "h").record(0.5);
+  std::string text = telemetry::renderPrometheus(registry);
+  const std::string bound = "x_seconds_bucket{le=\"0.512\"}";
+  const std::size_t pos = text.find(bound);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, bound.size(), "x_seconds_bucket{le=\"banana\"}");
+  EXPECT_THROW(telemetry::parsePrometheus(text), pviz::Error);
+}
+
 TEST(Prometheus, MergedExpositionsLintWithWorkerLabels) {
   telemetry::MetricRegistry a;
   a.counter("svc_requests_total", {{"op", "study"}}, "Requests").inc(5);

@@ -12,9 +12,10 @@ TEST(MsrFile, AllowlistGatesAccess) {
   EXPECT_FALSE(msr.isAllowed(0x1234));
   EXPECT_THROW(msr.read(0x1234), MsrAccessError);
   EXPECT_THROW(msr.write(0x1234, 1), MsrAccessError);
-  // Raw access (the silicon side) bypasses the allowlist.
-  msr.rawWrite(0x1234, 7);
-  EXPECT_EQ(msr.rawRead(0x1234), 7u);
+  // The file holds only the allowlisted registers, so even raw access
+  // (the silicon side) cannot store one off the list.
+  EXPECT_THROW(msr.rawWrite(0x1234, 7), MsrAccessError);
+  EXPECT_EQ(msr.rawRead(0x1234), 0u);
 }
 
 TEST(MsrFile, ReadsBackWrites) {

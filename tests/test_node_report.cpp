@@ -1,9 +1,9 @@
-// Node-level simulation, CSV reporting, and energy metric tests.
+// CSV reporting and energy metric tests.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "core/node_sim.h"
+#include "core/execution_sim.h"
 #include "core/report.h"
 
 namespace pviz::core {
@@ -21,47 +21,6 @@ vis::KernelProfile sampleKernel() {
   p.parallelFraction = 0.99;
   p.overlap = 0.8;
   return k;
-}
-
-TEST(NodeSim, AggregatesSocketsPlusOther) {
-  NodeDescription node;
-  node.sockets = 2;
-  node.otherWatts = 32.0;
-  NodeSimulator sim(node);
-  const NodeMeasurement m = sim.run(sampleKernel(), 120.0);
-  EXPECT_NEAR(m.packageWatts, 2.0 * m.perSocket.averageWatts, 1e-9);
-  EXPECT_NEAR(m.nodeWatts, m.packageWatts + 32.0, 1e-9);
-  EXPECT_NEAR(m.energyJoules, m.nodeWatts * m.seconds, 1e-6);
-  EXPECT_GT(m.packageShare(), 0.6);
-  EXPECT_LT(m.packageShare(), 0.95);
-}
-
-TEST(NodeSim, TwoSocketsHalveTheWorkPerSocket) {
-  NodeDescription two;
-  two.sockets = 2;
-  NodeDescription one;
-  one.sockets = 1;
-  NodeSimulator simTwo(two), simOne(one);
-  const double tTwo = simTwo.run(sampleKernel(), 120.0).seconds;
-  const double tOne = simOne.run(sampleKernel(), 120.0).seconds;
-  EXPECT_NEAR(tOne / tTwo, 2.0, 0.1);
-}
-
-TEST(NodeSim, CapActsPerSocket) {
-  NodeSimulator sim;
-  const NodeMeasurement free = sim.run(sampleKernel(), 120.0);
-  const NodeMeasurement capped = sim.run(sampleKernel(), 50.0);
-  EXPECT_LE(capped.perSocket.averageWatts, 52.0);
-  EXPECT_GT(capped.seconds, free.seconds);
-}
-
-TEST(NodeSim, ValidatesConfiguration) {
-  NodeDescription bad;
-  bad.sockets = 0;
-  EXPECT_THROW(NodeSimulator{bad}, Error);
-  bad = NodeDescription{};
-  bad.otherWatts = -1.0;
-  EXPECT_THROW(NodeSimulator{bad}, Error);
 }
 
 std::vector<ConfigRecord> sampleSweep() {

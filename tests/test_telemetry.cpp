@@ -257,6 +257,23 @@ TEST(Prometheus, EscapesLabelValuesAndHelp) {
   EXPECT_TRUE(telemetry::lintPrometheus(text, &error)) << error;
 }
 
+// A bucket bound that is not a finite number is a lint failure, not an
+// exception out of the linter.
+TEST(PrometheusLint, RejectsUnparseableBucketBound) {
+  for (const char* le : {"x", "1e999", "1x"}) {
+    const std::string text = std::string("# TYPE h histogram\n") +
+                             "h_bucket{le=\"" + le + "\"} 1\n" +
+                             "h_bucket{le=\"+Inf\"} 1\n" +
+                             "h_sum 1\n" +
+                             "h_count 1\n";
+    std::string error;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = telemetry::lintPrometheus(text, &error)) << le;
+    EXPECT_FALSE(ok) << le;
+    EXPECT_NE(error.find("le bound"), std::string::npos) << error;
+  }
+}
+
 TEST(PrometheusLint, CatchesStructuralErrors) {
   std::string error;
 

@@ -12,7 +12,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 namespace pviz::util {
 namespace {
@@ -223,16 +222,6 @@ TEST(ErrorMacros, RequireThrowsWithMessage) {
               std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
   }
-}
-
-TEST(WallTimer, AdvancesMonotonically) {
-  WallTimer t;
-  const double a = t.seconds();
-  const double b = t.seconds();
-  EXPECT_GE(b, a);
-  EXPECT_GE(a, 0.0);
-  t.reset();
-  EXPECT_GE(t.seconds(), 0.0);
 }
 
 }  // namespace
