@@ -575,9 +575,10 @@ int main(int argc, char** argv) {
     std::cout << "\nserver stats: " << server->statsJson().dump() << '\n';
     server->stop();
     // Drained server: every reader joined, so no connection can leak.
-    const auto finalSnap = server->metrics().snapshot();
-    if (finalSnap.connectionsActive != 0) {
-      std::cerr << "leaked reader threads: " << finalSnap.connectionsActive
+    const double active = server->metrics().value(
+        service::ServiceMetrics::kConnectionsActive);
+    if (active != 0.0) {
+      std::cerr << "leaked reader threads: " << active
                 << " connections still active after stop()\n";
       chaosOk = false;
     }

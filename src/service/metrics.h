@@ -35,59 +35,37 @@ class ServiceMetrics {
 
   ServiceMetrics();
 
-  struct OpSnapshot {
-    std::uint64_t requests = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t cacheHits = 0;
-    double meanLatencyMs = 0.0;
-    double maxLatencyMs = 0.0;
-    double p50LatencyMs = 0.0;
-    double p95LatencyMs = 0.0;
-    double p99LatencyMs = 0.0;
+  /// Server-wide counters and gauges, in `stats` key order.  Each one is
+  /// declared once, as a row of kStats in metrics.cpp: its `stats` key,
+  /// its Prometheus family and help text, and the event it logs.
+  enum Stat : std::size_t {
+    kUptimeMs,             ///< wall time since the metrics were created
+    kTotalRequests,        ///< completed requests over every op
+    kOverloaded,           ///< admission-control rejections
+    kBadRequests,          ///< frames that did not parse to a request
+    kTimeouts,             ///< deadline violations: idle, a stalled frame
+                           ///< or reply write, an expired request budget
+    kCancelled,            ///< kernels stopped mid-run by cancellation
+    kRejectedFrames,       ///< frames over the size bound
+    kShedConnections,      ///< connections shed at accept time
+    kClaimsGranted,        ///< fleet work-unit claims granted
+    kClaimsDeclined,       ///< fleet claims declined under load
+    kQueueDepth,
+    kMaxQueueDepth,
+    kConnectionsAccepted,
+    kConnectionsActive,
+    kStatCount
   };
 
-  struct Snapshot {
-    std::array<OpSnapshot, kOpCount> perOp;  ///< indexed by Op
-    std::uint64_t totalRequests = 0;
-    std::uint64_t overloaded = 0;       ///< admission-control rejections
-    std::uint64_t badRequests = 0;      ///< unparseable frames
-    std::uint64_t timeouts = 0;         ///< deadline violations (idle,
-                                        ///< stalled frame or reply write,
-                                        ///< request budget)
-    std::uint64_t cancelled = 0;        ///< kernels stopped mid-run by the
-                                        ///< request's cancellation token
-    std::uint64_t rejectedFrames = 0;   ///< frames over the size bound
-    std::uint64_t shedConnections = 0;  ///< accept-time connection shedding
-    std::uint64_t claimsGranted = 0;    ///< fleet work-unit claims granted
-    std::uint64_t claimsDeclined = 0;   ///< fleet claims declined (load)
-    std::size_t queueDepth = 0;
-    std::size_t maxQueueDepth = 0;
-    std::uint64_t connectionsAccepted = 0;
-    std::size_t connectionsActive = 0;
-    double uptimeMs = 0.0;  ///< wall time since the metrics were created
-  };
+  /// Count one occurrence of a counter row and log its event, if any.
+  void count(Stat stat);
+  /// The current reading of any row.
+  double value(Stat stat) const;
 
   /// One completed request (any status but "overloaded").  Feeds the op
   /// instruments and, when the op has an SLO objective, the burn-rate
   /// buckets; a violating request is logged to the event ring.
   void recordRequest(Op op, double latencyMs, bool cached, bool error);
-  /// One admission-control rejection.
-  void recordOverloaded();
-  /// One frame that did not parse to a request.
-  void recordBadRequest();
-  /// One deadline violation: connection idle too long, a started frame
-  /// or a reply write that stalled, or a request whose wall-clock budget
-  /// expired.
-  void recordTimeout();
-  /// One request whose kernel was stopped mid-run by its cancellation
-  /// token (deadline expiry after dispatch, not while queued).
-  void recordCancelled();
-  /// One frame dropped for exceeding the size bound.
-  void recordRejectedFrame();
-  /// One connection shed at accept time (over the connection bound).
-  void recordShedConnection();
-  /// One fleet work-unit claim, granted or declined.
-  void recordClaim(bool granted);
 
   void connectionOpened();
   void connectionClosed();
@@ -95,22 +73,14 @@ class ServiceMetrics {
   /// Queue depth after a push/pop (tracks the high-water mark).
   void recordQueueDepth(std::size_t depth);
 
-  Snapshot snapshot() const;
-
-  /// The `stats` result payload: this snapshot plus the cache counters.
-  static Json toJson(const Snapshot& snapshot,
-                     const ResultCache::Stats& cache);
-
-  /// The full `stats` payload: toJson() plus the energy-attribution and
-  /// SLO sections this instance tracks.
+  /// The `stats` payload: every kStats row, the per-op and result-cache
+  /// sections, and the energy-attribution and SLO sections.
   Json statsJson(const ResultCache::Stats& cache) const;
 
   /// The `metrics` op payload: the full registry in Prometheus text
   /// exposition format, with the result-cache, uptime and SLO burn-rate
   /// gauges refreshed from `cache` at scrape time.
   std::string prometheusText(const ResultCache::Stats& cache);
-
-  telemetry::MetricRegistry& registry() { return registry_; }
 
   /// Latency objectives; declare via slo().setObjective() before the
   /// server starts serving.
@@ -134,25 +104,10 @@ class ServiceMetrics {
 
   telemetry::MetricRegistry registry_;
   std::array<OpInstruments, kOpCount> perOp_;
-  telemetry::Counter* overloaded_;
-  telemetry::Counter* badRequests_;
-  telemetry::Counter* timeouts_;
-  telemetry::Counter* cancelled_;
-  telemetry::Counter* rejectedFrames_;
-  telemetry::Counter* shedConnections_;
-  telemetry::Counter* claimsGranted_;
-  telemetry::Counter* claimsDeclined_;
-  telemetry::Counter* connectionsAccepted_;
-  telemetry::Gauge* connectionsActive_;
-  telemetry::Gauge* queueDepth_;
-  telemetry::Gauge* maxQueueDepth_;
-  telemetry::Gauge* uptimeMs_;
-  telemetry::Gauge* cacheHitsG_;
-  telemetry::Gauge* cacheMissesG_;
-  telemetry::Gauge* cacheInsertionsG_;
-  telemetry::Gauge* cacheEvictionsG_;
-  telemetry::Gauge* cacheEntriesG_;
-  telemetry::Gauge* cacheBytesG_;
+  /// One instrument per kStats row: a counter or a gauge (neither for
+  /// the rows computed on read, uptime and total requests).
+  std::array<telemetry::Counter*, kStatCount> counters_{};
+  std::array<telemetry::Gauge*, kStatCount> gauges_{};
   std::chrono::steady_clock::time_point start_;
   telemetry::SloTracker slo_;
   telemetry::EventRing events_;

@@ -160,14 +160,14 @@ Json Server::handleFleetOp(const Request& request) {
         std::lock_guard lock(queueMutex_);
         depth = queue_.size();
       }
-      const ServiceMetrics::Snapshot snap = metrics_.snapshot();
       out.set("worker", workerId());
       out.set("seq", request.seq);
       out.set("queue_depth", static_cast<double>(depth));
       out.set("connections_active",
               static_cast<double>(activeConnections_.load()));
-      out.set("uptime_ms", snap.uptimeMs);
-      out.set("total_requests", static_cast<double>(snap.totalRequests));
+      out.set("uptime_ms", metrics_.value(ServiceMetrics::kUptimeMs));
+      out.set("total_requests",
+              metrics_.value(ServiceMetrics::kTotalRequests));
       // The worker's steady-clock reading lets the coordinator estimate
       // this process's clock offset from the beat's RTT midpoint.
       out.set("now_us", static_cast<double>(telemetry::traceNowUs()));
@@ -185,7 +185,8 @@ Json Server::handleFleetOp(const Request& request) {
         depth = queue_.size();
       }
       const bool granted = !stopping_ && depth < config_.maxQueueDepth;
-      metrics_.recordClaim(granted);
+      metrics_.count(granted ? ServiceMetrics::kClaimsGranted
+                             : ServiceMetrics::kClaimsDeclined);
       out.set("granted", granted);
       out.set("queue_depth", static_cast<double>(depth));
       out.set("worker", workerId());
@@ -258,7 +259,7 @@ void Server::acceptLoop() {
     if (activeConnections_.load() >= config_.maxConnections) {
       // Accept-time shedding: one overloaded line, then the Connection
       // destructor closes the socket.
-      metrics_.recordShedConnection();
+      metrics_.count(ServiceMetrics::kShedConnections);
       writeReplies(*conn, statusLine(nullptr, "overloaded",
                                      "connection limit reached, retry later"));
       continue;
@@ -301,7 +302,7 @@ void Server::readerLoop(std::shared_ptr<Connection> conn) {
   while (!stopping_) {
     if (config_.idleTimeoutMs > 0 && buffer.empty() &&
         millisSince(lastByteAt) > config_.idleTimeoutMs) {
-      metrics_.recordTimeout();
+      metrics_.count(ServiceMetrics::kTimeouts);
       writeReplies(*conn, statusLine(nullptr, "error",
                                      "idle timeout: no request within " +
                                          std::to_string(config_.idleTimeoutMs) +
@@ -310,7 +311,7 @@ void Server::readerLoop(std::shared_ptr<Connection> conn) {
     }
     if (config_.frameTimeoutMs > 0 && !buffer.empty() &&
         millisSince(frameStartedAt) > config_.frameTimeoutMs) {
-      metrics_.recordTimeout();
+      metrics_.count(ServiceMetrics::kTimeouts);
       writeReplies(*conn,
                    statusLine(nullptr, "error",
                               "frame timeout: frame not completed within " +
@@ -341,7 +342,7 @@ void Server::readerLoop(std::shared_ptr<Connection> conn) {
       if (line.size() > config_.maxFrameBytes) {
         // A complete frame over the bound still has a clean boundary,
         // so reject just the frame and keep the connection.
-        metrics_.recordRejectedFrame();
+        metrics_.count(ServiceMetrics::kRejectedFrames);
         replies += statusLine(nullptr, "error",
                               "frame exceeds " +
                                   std::to_string(config_.maxFrameBytes) +
@@ -359,7 +360,7 @@ void Server::readerLoop(std::shared_ptr<Connection> conn) {
       // connection — this is what bounds per-connection memory.
       PVIZ_LOG_WARN("dropping connection: frame exceeds "
                     << config_.maxFrameBytes << " bytes");
-      metrics_.recordRejectedFrame();
+      metrics_.count(ServiceMetrics::kRejectedFrames);
       replies += statusLine(nullptr, "error",
                             "frame exceeds " +
                                 std::to_string(config_.maxFrameBytes) +
@@ -385,7 +386,7 @@ void Server::admit(const std::shared_ptr<Connection>& conn,
     request = requestFromJson(Json::parse(line, config_.maxJsonDepth));
   } catch (const std::exception& e) {
     // The frame itself did not parse to a request.
-    metrics_.recordBadRequest();
+    metrics_.count(ServiceMetrics::kBadRequests);
     replies += statusLine(nullptr, "error", e.what());
     return;
   }
@@ -434,7 +435,7 @@ void Server::admit(const std::shared_ptr<Connection>& conn,
   if (runs) {
     if (!tryEnqueue(Task{conn, std::move(admission), admitted})) {
       // Backpressure: answer now instead of buffering unboundedly.
-      metrics_.recordOverloaded();
+      metrics_.count(ServiceMetrics::kOverloaded);
       replies += statusLine(&request, "overloaded",
                             "request queue is full, retry later");
     }
@@ -486,7 +487,7 @@ void Server::process(Task& task, util::ExecutionContext& ctx) {
   // given up waiting.
   if (config_.requestTimeoutMs > 0 &&
       millisSince(task.admitted) > config_.requestTimeoutMs) {
-    metrics_.recordTimeout();
+    metrics_.count(ServiceMetrics::kTimeouts);
     writeReplies(*task.conn,
                  statusLine(&request, "error",
                             "deadline exceeded: request queued longer than " +
@@ -552,7 +553,7 @@ void Server::finish(const Request& request, const Answer& answer,
   const bool ok = answer.status == "ok";
   const double elapsedMs = millisSince(admitted);
   metrics_.recordRequest(request.op, elapsedMs, answer.cached, !ok);
-  if (answer.cancelled) metrics_.recordCancelled();
+  if (answer.cancelled) metrics_.count(ServiceMetrics::kCancelled);
 
   Json trace;
   if (request.trace || request.traceId != 0) {
@@ -642,7 +643,7 @@ void Server::writeReplies(Connection& conn, const std::string& bytes) {
     if (ready == 0) {
       // Cut the connection: its reader's recv sees EOF and every later
       // write to it fails at once, so the timeout is counted once.
-      metrics_.recordTimeout();
+      metrics_.count(ServiceMetrics::kTimeouts);
       ::shutdown(conn.fd, SHUT_RDWR);
       return;
     }

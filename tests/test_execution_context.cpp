@@ -564,12 +564,10 @@ TEST(ServiceAdvectionEdges, SingleSeedOverrideForksTheResultCache) {
 
 TEST(ServiceMetrics, CancelledCounterSurfacesInStats) {
   service::ServiceMetrics metrics;
-  metrics.recordCancelled();
-  metrics.recordCancelled();
-  const service::ServiceMetrics::Snapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.cancelled, 2u);
-  const service::Json json =
-      service::ServiceMetrics::toJson(snap, service::ResultCache::Stats{});
+  metrics.count(service::ServiceMetrics::kCancelled);
+  metrics.count(service::ServiceMetrics::kCancelled);
+  EXPECT_EQ(metrics.value(service::ServiceMetrics::kCancelled), 2.0);
+  const service::Json json = metrics.statsJson(service::ResultCache::Stats{});
   const service::Json* cancelled = json.find("cancelled");
   ASSERT_NE(cancelled, nullptr);
   EXPECT_EQ(cancelled->asNumber(), 2.0);

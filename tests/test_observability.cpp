@@ -625,7 +625,7 @@ TEST(ServerObservability, CancelledFleetTracedRequestRetainsNoSpans) {
   doomed.traceId = 888;
   const Response response = client.request(doomed);
   EXPECT_EQ(response.status, "error");
-  EXPECT_GE(server.metrics().snapshot().cancelled, 1u);
+  EXPECT_GE(server.metrics().value(service::ServiceMetrics::kCancelled), 1u);
 
   Request dump;
   dump.op = Op::TraceDump;

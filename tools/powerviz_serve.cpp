@@ -173,15 +173,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "powerviz_serve: draining...\n");
     server.stop();
 
-    const auto snap = server.metrics().snapshot();
+    const service::ServiceMetrics& metrics = server.metrics();
     std::printf(
-        "powerviz_serve exiting: %llu requests, %llu overloaded, "
-        "%llu timeouts, %llu rejected frames, %llu shed connections\n",
-        static_cast<unsigned long long>(snap.totalRequests),
-        static_cast<unsigned long long>(snap.overloaded),
-        static_cast<unsigned long long>(snap.timeouts),
-        static_cast<unsigned long long>(snap.rejectedFrames),
-        static_cast<unsigned long long>(snap.shedConnections));
+        "powerviz_serve exiting: %.0f requests, %.0f overloaded, "
+        "%.0f timeouts, %.0f rejected frames, %.0f shed connections\n",
+        metrics.value(service::ServiceMetrics::kTotalRequests),
+        metrics.value(service::ServiceMetrics::kOverloaded),
+        metrics.value(service::ServiceMetrics::kTimeouts),
+        metrics.value(service::ServiceMetrics::kRejectedFrames),
+        metrics.value(service::ServiceMetrics::kShedConnections));
     return 0;
   } catch (const pviz::Error& e) {
     std::cerr << "powerviz_serve: " << e.what() << '\n';
