@@ -4,20 +4,17 @@
 // renderPrometheus() turns a MetricRegistry snapshot into the scrapeable
 // text format: `# HELP` / `# TYPE` headers per metric family, one sample
 // line per series, and for histograms the cumulative `_bucket{le=...}`
-// ladder plus `_sum` and `_count`.  lintPrometheus() re-parses that text
-// and checks the invariants a real Prometheus server enforces (line
-// structure, bucket monotonicity, `+Inf` == `_count`, `_sum`/`_count`
-// presence) — it backs the CI scrape check and powerviz_client --lint.
-//
-// parsePrometheus() is the renderer's inverse: it turns exposition text
-// back into MetricRegistry::Series — histograms are reconstructed from
-// their full `le` ladder into a Histogram::Snapshot (the one lossy
-// field is the per-histogram max, which the text format does not
-// carry).  mergeExpositions() builds on it: the fleet coordinator
-// scrapes each worker's `metrics` op, tags every series with a
-// `worker` label, and re-renders the union as one fleet-wide
-// exposition, so the merged view flows through the same snapshot/render
-// machinery as a single process.
+// ladder plus `_sum` and `_count`.  One reader checks the invariants a
+// real Prometheus server enforces (line structure, bucket monotonicity,
+// `+Inf` == `_count`, `_sum`/`_count` presence): lintPrometheus() reports
+// its verdict (the CI scrape check, powerviz_client --lint), and
+// parsePrometheus(), the renderer's inverse, also requires the
+// registry's `le` ladder and returns MetricRegistry::Series (the per-
+// histogram max is lost: the text format does not carry it).
+// mergeExpositions() builds on parse: the fleet coordinator scrapes each
+// worker's `metrics` op, tags every series with a `worker` label, and
+// re-renders the union as one fleet-wide exposition, so the merged view
+// flows through the same snapshot/render machinery as a single process.
 #pragma once
 
 #include <string>
