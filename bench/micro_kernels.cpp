@@ -69,11 +69,12 @@ BENCHMARK(BM_MakeCloverField)->Arg(32)->Arg(128)
 
 void BM_Contour(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
+  util::ExecutionContext ctx;
   vis::ContourFilter filter;
   filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
+      vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 3));
   for (auto _ : state) {
-    util::ExecutionContext cold;  // shim semantics: fresh arena per run
+    util::ExecutionContext cold;  // a fresh context per run
     benchmark::DoNotOptimize(
         filter.run(cold, g, "energy").surface.numTriangles());
   }
@@ -82,18 +83,17 @@ void BM_Contour(benchmark::State& state) {
 BENCHMARK(BM_Contour)->Arg(16)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
-// Arena-reuse mode: the same kernel over one persistent ExecutionContext.
-// The plain BM_Contour above goes through the compatibility shim, which
-// builds a fresh context — and therefore a cold scratch arena — every
-// run; here the first iteration warms the arena and every repeat is
-// served from the free lists instead of operator new.  Compare against
-// BM_Contour at the same size for the repeat-run speedup.
+// The same kernel over one persistent ExecutionContext.  The plain
+// BM_Contour above builds a fresh context every run.  Blocks of at least
+// util::kPagePoolFloor come from the process-wide page pool either way,
+// so the two differ only by the context's construction; compare them at
+// the same size to see that cost.
 void BM_ContourArenaReuse(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
+  util::ExecutionContext ctx;
   vis::ContourFilter filter;
   filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
-  util::ExecutionContext ctx;
+      vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 3));
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -359,10 +359,10 @@ BENCHMARK(BM_ExternalFacesArenaReuse)->Arg(16)->Arg(32);
 
 void BM_ContourBackend(benchmark::State& state, exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
+  util::ExecutionContext ctx;
   vis::ContourFilter filter;
   filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
-  util::ExecutionContext ctx;
+      vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 3));
   ctx.setBackend(exec::backendFor(kind));
   for (auto _ : state) {
     ctx.beginRun();
@@ -558,10 +558,10 @@ BENCHMARK(BM_HistogramRecord)->Threads(1)->Threads(4);
 // and CI gates the On/Idle ratio at 128³.
 void BM_ContourTelemetryIdle(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
+  util::ExecutionContext ctx;
   vis::ContourFilter filter;
   filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
-  util::ExecutionContext ctx;
+      vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 3));
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -576,9 +576,10 @@ BENCHMARK(BM_ContourTelemetryIdle)
 
 void BM_ContourTelemetryOn(benchmark::State& state) {
   const vis::UniformGrid& g = grid(state.range(0));
+  util::ExecutionContext ctx;
   vis::ContourFilter filter;
   filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
+      vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 3));
   static telemetry::MetricRegistry registry;
   telemetry::Histogram& latency = registry.histogram(
       "bench_contour_latency_ms", {}, "contour run latency (bench-only)");
@@ -592,7 +593,6 @@ void BM_ContourTelemetryOn(benchmark::State& state) {
     return tracker;
   }();
   static std::atomic<std::uint64_t> token{1};
-  util::ExecutionContext ctx;
   for (auto _ : state) {
     ctx.beginRun();
     const std::uint64_t requestToken =

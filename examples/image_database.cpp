@@ -92,13 +92,13 @@ int main(int argc, char** argv) {
   util::ExecutionContext ctx;
   const vis::UniformGrid g = sim::makeCloverField(ctx, cells);
   const vis::Bounds bounds = g.bounds();
-  const auto [lo, hi] = g.field("energy").range();
+  const auto [lo, hi] = g.field("energy").range(ctx);
 
   {  // (a) contour
     ctx.beginRun();
     vis::ContourFilter filter;
     filter.setIsovalues(
-        vis::ContourFilter::uniformIsovalues(g.field("energy"), 3));
+        vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 3));
     renderMesh(ctx, filter.run(ctx, g, "energy").surface, bounds, lo, hi,
                "fig1a_contour.ppm");
   }

@@ -28,7 +28,7 @@ int main() {
   // Extract 10 isosurfaces (the study's configuration).
   vis::ContourFilter contour;
   contour.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(dataset.field("energy"), 10));
+      vis::ContourFilter::uniformIsovalues(ctx, dataset.field("energy"), 10));
   const vis::ContourFilter::Result result = contour.run(ctx, dataset, "energy");
   std::cout << "contour produced " << result.surface.numTriangles()
             << " triangles over 10 isovalues\n\n";

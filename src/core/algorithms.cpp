@@ -99,9 +99,10 @@ vis::WorkProfile frameworkOverheadPhase(int launches) {
 namespace {
 
 // Field-range helpers shared by the value-based filters.
-std::pair<double, double> fieldBand(const vis::Field& field, double loFrac,
+std::pair<double, double> fieldBand(util::ExecutionContext& ctx,
+                                    const vis::Field& field, double loFrac,
                                     double hiFrac) {
-  const auto [lo, hi] = field.range();
+  const auto [lo, hi] = field.range(ctx);
   const double span = hi - lo;
   return {lo + loFrac * span, lo + hiFrac * span};
 }
@@ -123,18 +124,20 @@ vis::Id envId(const char* name, vis::Id fallback, vis::Id lo, vis::Id hi) {
 // both run literally the same filter objects.  Range-derived settings
 // (isovalues, bands, clip sphere) always come from the GLOBAL grid —
 // that is part of the block-count-invariance contract.
-vis::ContourFilter contourFor(const vis::Field& energy,
+vis::ContourFilter contourFor(util::ExecutionContext& ctx,
+                              const vis::Field& energy,
                               const AlgorithmParams& params) {
   vis::ContourFilter filter;
-  filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(energy, params.isovalueCount));
+  filter.setIsovalues(vis::ContourFilter::uniformIsovalues(
+      ctx, energy, params.isovalueCount));
   return filter;
 }
 
-vis::ThresholdFilter thresholdFor(const vis::Field& energy,
+vis::ThresholdFilter thresholdFor(util::ExecutionContext& ctx,
+                                  const vis::Field& energy,
                                   const AlgorithmParams& params) {
   vis::ThresholdFilter filter;
-  const auto [lo, hi] = fieldBand(energy, params.thresholdLoFraction,
+  const auto [lo, hi] = fieldBand(ctx, energy, params.thresholdLoFraction,
                                   params.thresholdHiFraction);
   filter.setRange(lo, hi);
   return filter;
@@ -149,10 +152,11 @@ vis::ClipSphereFilter clipFor(const vis::UniformGrid& grid,
   return filter;
 }
 
-vis::IsovolumeFilter isovolumeFor(const vis::Field& energy,
+vis::IsovolumeFilter isovolumeFor(util::ExecutionContext& ctx,
+                                  const vis::Field& energy,
                                   const AlgorithmParams& params) {
   vis::IsovolumeFilter filter;
-  const auto [lo, hi] = fieldBand(energy, params.isovolumeLoFraction,
+  const auto [lo, hi] = fieldBand(ctx, energy, params.isovolumeLoFraction,
                                   params.isovolumeHiFraction);
   filter.setRange(lo, hi);
   return filter;
@@ -174,12 +178,14 @@ vis::KernelProfile runOnGrid(util::ExecutionContext& ctx, Algorithm algorithm,
 
   switch (algorithm) {
     case Algorithm::Contour: {
-      profile = contourFor(energy, params).run(ctx, grid, "energy").profile;
+      profile =
+          contourFor(ctx, energy, params).run(ctx, grid, "energy").profile;
       launches = 3 * params.isovalueCount;
       break;
     }
     case Algorithm::Threshold: {
-      profile = thresholdFor(energy, params).run(ctx, grid, "energy").profile;
+      profile =
+          thresholdFor(ctx, energy, params).run(ctx, grid, "energy").profile;
       launches = 3;
       break;
     }
@@ -189,7 +195,8 @@ vis::KernelProfile runOnGrid(util::ExecutionContext& ctx, Algorithm algorithm,
       break;
     }
     case Algorithm::Isovolume: {
-      profile = isovolumeFor(energy, params).run(ctx, grid, "energy").profile;
+      profile =
+          isovolumeFor(ctx, energy, params).run(ctx, grid, "energy").profile;
       launches = 9;
       break;
     }
@@ -260,11 +267,12 @@ vis::KernelProfile runOnDomain(util::ExecutionContext& ctx,
   switch (algorithm) {
     case Algorithm::Contour:
       launches = 3 * params.isovalueCount;
-      return vis::runContour(ctx, domain, contourFor(energy, params), "energy")
+      return vis::runContour(ctx, domain, contourFor(ctx, energy, params),
+                             "energy")
           .profile;
     case Algorithm::Threshold:
       launches = 3;
-      return vis::runThreshold(ctx, domain, thresholdFor(energy, params),
+      return vis::runThreshold(ctx, domain, thresholdFor(ctx, energy, params),
                                "energy")
           .profile;
     case Algorithm::SphericalClip:
@@ -273,7 +281,7 @@ vis::KernelProfile runOnDomain(util::ExecutionContext& ctx,
           .profile;
     case Algorithm::Isovolume:
       launches = 9;
-      return vis::runIsovolume(ctx, domain, isovolumeFor(energy, params),
+      return vis::runIsovolume(ctx, domain, isovolumeFor(ctx, energy, params),
                                "energy")
           .profile;
     case Algorithm::Slice: {

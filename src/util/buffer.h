@@ -10,6 +10,10 @@
 //
 // The rule that comes with it: whoever sizes a Buffer with resize() or
 // the (n) constructor writes every slot before anything reads it.
+//
+// Blocks of at least kPagePoolFloor bytes come from the process-wide
+// PagePool (util/page_pool.h), so an output's pages stay mapped after it
+// is freed and serve the next run's outputs without new page faults.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +23,13 @@
 #include <utility>
 #include <vector>
 
+#include "util/page_pool.h"
+
 namespace pviz::util {
 
-/// std::allocator whose value-initializing construct() leaves the
-/// element unwritten.  Restricted to trivially copyable, trivially
+/// Allocator whose value-initializing construct() leaves the element
+/// unwritten; large blocks go to the page pool, small ones to
+/// std::allocator.  Restricted to trivially copyable, trivially
 /// destructible element types: those are implicit-lifetime types, so
 /// the allocation itself creates the objects.
 template <typename T>
@@ -38,9 +45,20 @@ struct NoInitAllocator {
   template <typename U>
   constexpr NoInitAllocator(const NoInitAllocator<U>&) noexcept {}
 
-  T* allocate(std::size_t n) { return std::allocator<T>{}.allocate(n); }
+  // std::vector never asks for more than max_size() elements, so the
+  // byte counts below cannot overflow.
+  T* allocate(std::size_t n) {
+    if (n * sizeof(T) >= kPagePoolFloor) {
+      return static_cast<T*>(PagePool::global().acquire(n * sizeof(T)));
+    }
+    return std::allocator<T>{}.allocate(n);
+  }
   void deallocate(T* p, std::size_t n) noexcept {
-    std::allocator<T>{}.deallocate(p, n);
+    if (n * sizeof(T) >= kPagePoolFloor) {
+      PagePool::global().release(p, n * sizeof(T));
+    } else {
+      std::allocator<T>{}.deallocate(p, n);
+    }
   }
 
   /// Value-initialization: leave the element unwritten.

@@ -1,76 +1,63 @@
 #include "util/exec_context.h"
 
-#include <bit>
+#include <algorithm>
+#include <new>
 #include <sstream>
 
 #include "util/backend.h"
+#include "util/page_pool.h"
 
 namespace pviz::util {
-
-namespace {
-constexpr std::size_t kMinSizeClass = 4096;  // one page; smaller asks pool up
-}  // namespace
 
 unsigned ExecutionContext::concurrency() const noexcept {
   return backend_->concurrency(*pool_);
 }
 
-std::size_t ScratchArena::sizeClass(std::size_t bytes) noexcept {
-  if (bytes <= kMinSizeClass) return kMinSizeClass;
-  return std::bit_ceil(bytes);
-}
-
 void* ScratchArena::acquire(std::size_t bytes) {
   if (bytes == 0) return nullptr;
-  const std::size_t cls = sizeClass(bytes);
+  bool reused = false;
+  void* block = bytes >= kPagePoolFloor
+                    ? PagePool::global().acquire(bytes, &reused)
+                    : ::operator new(bytes);
   std::lock_guard<std::mutex> lock(mutex_);
   ++acquires_;
-  Block block;
-  auto it = free_.find(cls);
-  if (it != free_.end() && !it->second.empty()) {
-    block = std::move(it->second.back());
-    it->second.pop_back();
-    ++reuseHits_;
-  } else {
-    // Default-initialized: no serial memset under the mutex; the
-    // kernels' parallel writes do the first touch.
-    block.data = std::make_unique_for_overwrite<std::byte[]>(cls);
-    block.capacity = cls;
-  }
-  void* p = block.data.get();
-  bytesInUse_ += cls;
-  if (bytesInUse_ > peakBytesInUse_) peakBytesInUse_ = bytesInUse_;
-  live_.emplace(p, std::move(block));
-  return p;
+  if (reused) ++reuseHits_;
+  bytesInUse_ += bytes;
+  peakBytesInUse_ = std::max(peakBytesInUse_, bytesInUse_);
+  live_.emplace(block, bytes);
+  return block;
 }
 
 void ScratchArena::release(void* block) noexcept {
   if (block == nullptr) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = live_.find(block);
-  if (it == live_.end()) return;  // not ours; ignore rather than crash
-  Block b = std::move(it->second);
-  live_.erase(it);
-  bytesInUse_ -= b.capacity;
-  free_[b.capacity].push_back(std::move(b));
+  std::size_t bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = live_.find(block);
+    if (it == live_.end()) return;  // not ours; ignore rather than crash
+    bytes = it->second;
+    live_.erase(it);
+    bytesInUse_ -= bytes;
+  }
+  if (bytes >= kPagePoolFloor) {
+    PagePool::global().release(block, bytes);
+  } else {
+    ::operator delete(block);
+  }
 }
 
-void ScratchArena::trim() noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  free_.clear();
-}
+void ScratchArena::trim() noexcept { PagePool::global().trim(); }
 
 ScratchArena::Stats ScratchArena::stats() const {
+  const PagePool::Stats pool = PagePool::global().stats();
   std::lock_guard<std::mutex> lock(mutex_);
   Stats s;
   s.acquires = acquires_;
   s.reuseHits = reuseHits_;
   s.bytesInUse = bytesInUse_;
   s.peakBytesInUse = peakBytesInUse_;
-  for (const auto& [cls, blocks] : free_) {
-    s.bytesPooled += cls * blocks.size();
-    s.blocksPooled += blocks.size();
-  }
+  s.bytesPooled = pool.bytesRetained;
+  s.blocksPooled = pool.blocksRetained;
   return s;
 }
 

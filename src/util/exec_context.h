@@ -8,9 +8,12 @@
 // The context bundles:
 //
 //   * ThreadPool&    — the pool the run's loops execute on
-//   * ScratchArena   — pooled scratch buffers keyed by power-of-two size
-//                      class, reset between runs instead of freed, so the
-//                      hot sweep loops stop churning the allocator
+//   * ScratchArena   — kernel-lifetime scratch blocks.  Blocks of at
+//                      least kPagePoolFloor come from the process-wide
+//                      PagePool (util/page_pool.h), which also backs
+//                      util::Buffer, so pages one run faulted in serve
+//                      the next run on any context; smaller ones come
+//                      from malloc.  The arena itself keeps no blocks.
 //   * CancelToken    — deadline + cooperative flag, polled at phase and
 //                      chunk boundaries; trips the run with CancelledError
 //   * PhaseTracer    — per-phase wall time, arena occupancy, and pool
@@ -18,8 +21,8 @@
 //
 // A context is externally synchronized: one kernel run uses it at a time
 // (the service layer keeps one context per request worker).  The arena
-// itself is internally locked because pool workers acquire and release
-// blocks concurrently.
+// is internally locked because pool workers acquire and release blocks
+// concurrently.
 #pragma once
 
 #include <atomic>
@@ -27,8 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <type_traits>
@@ -139,55 +140,47 @@ class CancelToken {
   std::atomic<std::int64_t> pollsUntilCancel_{kNoCountdown};
 };
 
-/// Pooled scratch allocator for kernel-lifetime buffers.
+/// Scratch allocator for kernel-lifetime buffers.
 ///
-/// Requests round up to a power-of-two size class (minimum 4 KiB) and are
-/// served from a per-class free list; release() returns the block to the
-/// list instead of freeing it, so repeat runs over same-sized datasets
-/// reuse warm allocations.  Blocks are UNINITIALIZED on acquire — every
-/// caller must write each element before reading it (the kernels'
+/// Blocks of at least kPagePoolFloor bytes come from PagePool::global():
+/// release() hands them back to that one process-wide pool, so repeat
+/// runs reuse warm pages whichever context or thread asks next.  Smaller
+/// blocks come from operator new.  Blocks are UNINITIALIZED on acquire —
+/// every caller must write each element before reading it (the kernels'
 /// classify passes already do).  Thread-safe: pool workers may acquire
 /// and release concurrently.
 class ScratchArena {
  public:
   struct Stats {
     std::uint64_t acquires = 0;       ///< total acquire() calls
-    std::uint64_t reuseHits = 0;      ///< acquires served from the pool
+    std::uint64_t reuseHits = 0;      ///< acquires served by retained pages
     std::size_t bytesInUse = 0;       ///< currently checked out
     std::size_t peakBytesInUse = 0;   ///< high-water mark of bytesInUse
-    std::size_t bytesPooled = 0;      ///< retained on free lists
-    std::size_t blocksPooled = 0;     ///< block count on free lists
+    std::size_t bytesPooled = 0;      ///< retained by the page pool
+    std::size_t blocksPooled = 0;     ///< ranges retained by the page pool
   };
 
   ScratchArena() = default;
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
 
-  /// Smallest size class that fits `bytes`.
-  static std::size_t sizeClass(std::size_t bytes) noexcept;
-
   /// Check out an uninitialized block of at least `bytes` bytes
-  /// (nullptr for bytes == 0).  Alignment is the default operator-new[]
-  /// alignment, sufficient for every trivially copyable kernel type.
+  /// (nullptr for bytes == 0).  Alignment is at least the default
+  /// operator-new alignment, sufficient for every trivially copyable
+  /// kernel type.
   void* acquire(std::size_t bytes);
 
-  /// Return a block to its free list.  No-op for nullptr.
+  /// Give a block back.  No-op for nullptr.
   void release(void* block) noexcept;
 
-  /// Drop all pooled (free) blocks.  Live blocks are unaffected.
+  /// Unmap the page pool's retained ranges.  Live blocks are unaffected.
   void trim() noexcept;
 
   Stats stats() const;
 
  private:
-  struct Block {
-    std::unique_ptr<std::byte[]> data;
-    std::size_t capacity = 0;
-  };
-
   mutable std::mutex mutex_;
-  std::map<std::size_t, std::vector<Block>> free_;
-  std::unordered_map<const void*, Block> live_;
+  std::unordered_map<const void*, std::size_t> live_;  // block -> bytes
   std::uint64_t acquires_ = 0;
   std::uint64_t reuseHits_ = 0;
   std::size_t bytesInUse_ = 0;
@@ -282,7 +275,7 @@ class PhaseTracer {
     std::uint64_t startUs = 0;         ///< steady-clock µs at phase start
     std::uint32_t threadId = 0;        ///< threadIndex() of the recorder
     std::size_t arenaBytesInUse = 0;   ///< checked-out bytes at phase end
-    std::size_t arenaBytesPooled = 0;  ///< free-listed bytes at phase end
+    std::size_t arenaBytesPooled = 0;  ///< page-pool bytes retained at end
     unsigned poolConcurrency = 0;      ///< pool width the phase ran at
     bool cancelled = false;  ///< phase exited by cancellation unwind
   };
@@ -344,7 +337,7 @@ class ExecutionContext {
   std::uint64_t traceId() const noexcept { return traceId_; }
 
   /// Start a new run on this context: clears the phase trace.  Pooled
-  /// arena blocks are deliberately kept — reuse across runs is the point.
+  /// pages are deliberately kept — reuse across runs is the point.
   void beginRun() { tracer_.clear(); }
 
   /// RAII phase marker.  Construction polls the cancel token (the phase

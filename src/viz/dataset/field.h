@@ -11,6 +11,10 @@
 #include "util/error.h"
 #include "viz/types.h"
 
+namespace pviz::util {
+class ExecutionContext;
+}  // namespace pviz::util
+
 namespace pviz::vis {
 
 enum class Association { Points, Cells };
@@ -79,7 +83,9 @@ class Field {
   util::Buffer<double>& data() { return data_; }
 
   /// [min, max] over the first component; {0,0} for empty fields.
-  std::pair<double, double> range() const;
+  /// Reduced in parallel through the context's backend; min and max are
+  /// exact, so the result is the same on every backend and pool size.
+  std::pair<double, double> range(util::ExecutionContext& ctx) const;
 
   /// Bytes held by the data array (used by the traffic model).
   double sizeBytes() const {

@@ -2,18 +2,25 @@
 
 #include <algorithm>
 
+#include "util/parallel.h"
+
 namespace pviz::vis {
 
-std::pair<double, double> Field::range() const {
+std::pair<double, double> Field::range(util::ExecutionContext& ctx) const {
   if (data_.empty()) return {0.0, 0.0};
-  double lo = data_[0];
-  double hi = data_[0];
-  const std::size_t stride = static_cast<std::size_t>(components_);
-  for (std::size_t i = 0; i < data_.size(); i += stride) {
-    lo = std::min(lo, data_[i]);
-    hi = std::max(hi, data_[i]);
-  }
-  return {lo, hi};
+  using MinMax = std::pair<double, double>;
+  const double* values = data_.data();
+  const std::int64_t stride = components_;
+  return util::parallelReduce(
+      ctx, 0, count(), MinMax{values[0], values[0]},
+      [values, stride](MinMax acc, std::int64_t i) {
+        const double v = values[i * stride];
+        return MinMax{std::min(acc.first, v), std::max(acc.second, v)};
+      },
+      [](MinMax a, MinMax b) {
+        return MinMax{std::min(a.first, b.first), std::max(a.second, b.second)};
+      },
+      std::int64_t{1} << 15);
 }
 
 void UniformGrid::addField(Field field) {

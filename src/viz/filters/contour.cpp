@@ -10,10 +10,11 @@
 
 namespace pviz::vis {
 
-std::vector<double> ContourFilter::uniformIsovalues(const Field& field,
+std::vector<double> ContourFilter::uniformIsovalues(util::ExecutionContext& ctx,
+                                                    const Field& field,
                                                     int count) {
   PVIZ_REQUIRE(count >= 1, "need at least one isovalue");
-  const auto [lo, hi] = field.range();
+  const auto [lo, hi] = field.range(ctx);
   std::vector<double> values;
   values.reserve(static_cast<std::size_t>(count));
   for (int i = 1; i <= count; ++i) {

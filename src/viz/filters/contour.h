@@ -44,7 +44,8 @@ class ContourFilter {
 
   /// Derive `count` isovalues uniformly spaced inside the range of
   /// `field` (excluding the extremes, which generate no geometry).
-  static std::vector<double> uniformIsovalues(const Field& field, int count);
+  static std::vector<double> uniformIsovalues(util::ExecutionContext& ctx,
+                                              const Field& field, int count);
 
   /// Extract the isosurface of point scalar `fieldName`.  Runs on the
   /// context's pool with arena-backed scratch; cancellable at phase and

@@ -30,7 +30,7 @@ RayTracer::Result RayTracer::run(util::ExecutionContext& ctx,
   phase.emplace(ctx, "trace");
 
   // --- Step 3: trace rays from the orbiting cameras.
-  const auto [scalarLo, scalarHi] = grid.field(fieldName).range();
+  const auto [scalarLo, scalarHi] = grid.field(fieldName).range(ctx);
   const ColorTable colors = ColorTable::coolToWarm();
   const std::vector<Camera> cameras =
       cameraOrbit(grid.bounds(), cameraCount_);

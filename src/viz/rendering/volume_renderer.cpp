@@ -26,7 +26,7 @@ VolumeRenderer::Result VolumeRenderer::run(util::ExecutionContext& ctx,
   const Bounds box = grid.bounds();
   const double diagonal = length(box.extent());
   const double stepSize = diagonal / samplesAcross_;
-  const auto [scalarLo, scalarHi] = field.range();
+  const auto [scalarLo, scalarHi] = field.range(ctx);
   const std::vector<Camera> cameras = cameraOrbit(box, cameraCount_);
   // Opacity correction exponent: the step size relative to the reference
   // step of 256 samples across.  At the default samples-across it is

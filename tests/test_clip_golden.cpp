@@ -45,7 +45,7 @@ ClipResult studyClip(util::ExecutionContext& ctx, const UniformGrid& g) {
 
 IsovolumeFilter::Result studyIsovolume(util::ExecutionContext& ctx,
                                        const UniformGrid& g) {
-  const auto [lo, hi] = g.field("energy").range();
+  const auto [lo, hi] = g.field("energy").range(ctx);
   IsovolumeFilter filter;
   filter.setRange(lo + 0.4 * (hi - lo), lo + 0.8 * (hi - lo));
   return filter.run(ctx, g, "energy");

@@ -112,7 +112,7 @@ TEST(CloverLeaf, ExportForVizHasExpectedFields) {
   EXPECT_EQ(grid.field("energy").association(), vis::Association::Points);
   EXPECT_EQ(grid.field("energy").count(), grid.numPoints());
   EXPECT_EQ(grid.field("velocity").components(), 3);
-  const auto [lo, hi] = grid.field("energy").range();
+  const auto [lo, hi] = grid.field("energy").range(ctx);
   EXPECT_GT(lo, 0.0);
   EXPECT_GT(hi, lo);
 }
@@ -148,10 +148,11 @@ TEST(CloverLeaf, RejectsTinyGrids) {
 }
 
 TEST(MakeCloverField, ProducesEnergyAndVelocity) {
-  const vis::UniformGrid grid = makeCloverField(16);
+  util::ExecutionContext ctx;
+  const vis::UniformGrid grid = makeCloverField(ctx, 16);
   ASSERT_TRUE(grid.hasField("energy"));
   ASSERT_TRUE(grid.hasField("velocity"));
-  const auto [lo, hi] = grid.field("energy").range();
+  const auto [lo, hi] = grid.field("energy").range(ctx);
   EXPECT_GE(lo, 0.9);
   EXPECT_GT(hi, 2.0);  // the hot region is present
   // Velocity is nonzero somewhere.

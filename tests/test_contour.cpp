@@ -157,11 +157,12 @@ TEST(Contour, NormalsPointDownGradient) {
 
 TEST(Contour, UniformIsovaluesExcludeExtremes) {
   Field f("f", Association::Points, 1, {0.0, 10.0});
-  const auto values = ContourFilter::uniformIsovalues(f, 4);
+  util::ExecutionContext ctx;
+  const auto values = ContourFilter::uniformIsovalues(ctx, f, 4);
   ASSERT_EQ(values.size(), 4u);
   EXPECT_DOUBLE_EQ(values.front(), 2.0);
   EXPECT_DOUBLE_EQ(values.back(), 8.0);
-  EXPECT_THROW(ContourFilter::uniformIsovalues(f, 0), Error);
+  EXPECT_THROW(ContourFilter::uniformIsovalues(ctx, f, 0), Error);
 }
 
 TEST(Contour, RequiresSetupAndScalarPointField) {

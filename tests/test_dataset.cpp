@@ -1,6 +1,7 @@
 // UniformGrid and Field tests.
 #include <gtest/gtest.h>
 
+#include "util/exec_context.h"
 #include "util/rng.h"
 #include "viz/dataset/uniform_grid.h"
 
@@ -30,10 +31,11 @@ TEST(Field, VectorTuples) {
 
 TEST(Field, RangeScansFirstComponent) {
   Field f("f", Association::Cells, 2, {5, 100, -1, 200, 3, 300});
-  const auto [lo, hi] = f.range();
+  util::ExecutionContext ctx;
+  const auto [lo, hi] = f.range(ctx);
   EXPECT_EQ(lo, -1.0);
   EXPECT_EQ(hi, 5.0);
-  EXPECT_EQ(Field().range(), (std::pair<double, double>{0.0, 0.0}));
+  EXPECT_EQ(Field().range(ctx), (std::pair<double, double>{0.0, 0.0}));
 }
 
 TEST(Field, RejectsBadConstruction) {

@@ -1,6 +1,6 @@
-// ExecutionContext: scratch arena pooling, cooperative cancellation at
-// phase and chunk boundaries, phase tracing, and cache hygiene when a
-// run is cancelled mid-kernel.
+// ExecutionContext: the process page pool behind the scratch arena and
+// util::Buffer, cooperative cancellation at phase and chunk boundaries,
+// phase tracing, and cache hygiene when a run is cancelled mid-kernel.
 //
 // The cancellation sweeps use CancelToken::cancelAfterPolls(n) over a
 // one-worker pool: polls happen in a deterministic order, so iterating n
@@ -11,11 +11,18 @@
 // produce output bit-identical to a run on a fresh context.
 #include <gtest/gtest.h>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/study.h"
@@ -23,7 +30,9 @@
 #include "service/engine.h"
 #include "service/metrics.h"
 #include "sim/cloverleaf.h"
+#include "util/buffer.h"
 #include "util/exec_context.h"
+#include "util/page_pool.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
 #include "viz/filters/clip_sphere.h"
@@ -41,23 +50,18 @@ namespace {
 using util::CancelledError;
 using util::CancelToken;
 using util::ExecutionContext;
+using util::kPagePoolFloor;
+using util::PagePool;
 using util::ScratchArena;
 using util::ScratchVector;
 using util::ThreadPool;
 
-// ---- ScratchArena -------------------------------------------------------
-
-TEST(ScratchArena, SizeClassesArePowersOfTwoWithFloor) {
-  EXPECT_EQ(ScratchArena::sizeClass(1), 4096u);
-  EXPECT_EQ(ScratchArena::sizeClass(4096), 4096u);
-  EXPECT_EQ(ScratchArena::sizeClass(4097), 8192u);
-  EXPECT_EQ(ScratchArena::sizeClass(10000), 16384u);
-  EXPECT_EQ(ScratchArena::sizeClass(1 << 20), std::size_t{1} << 20);
-}
+// ---- PagePool and ScratchArena -----------------------------------------
 
 TEST(ScratchArena, ReleaseThenAcquireReusesTheBlock) {
+  PagePool::global().trim();
   ScratchArena arena;
-  void* first = arena.acquire(10000);
+  void* first = arena.acquire(kPagePoolFloor + 10000);
   ASSERT_NE(first, nullptr);
   arena.release(first);
 
@@ -65,8 +69,8 @@ TEST(ScratchArena, ReleaseThenAcquireReusesTheBlock) {
   EXPECT_EQ(afterRelease.bytesInUse, 0u);
   EXPECT_EQ(afterRelease.blocksPooled, 1u);
 
-  // Same size class (16 KiB): must come back from the pool.
-  void* second = arena.acquire(12000);
+  // Fits in the retained block: must come back from the pool.
+  void* second = arena.acquire(kPagePoolFloor + 5000);
   EXPECT_EQ(second, first);
   ScratchArena::Stats afterReuse = arena.stats();
   EXPECT_EQ(afterReuse.acquires, 2u);
@@ -78,47 +82,174 @@ TEST(ScratchArena, ReleaseThenAcquireReusesTheBlock) {
 }
 
 TEST(ScratchArena, ScratchVectorReleasesOnDestruction) {
+  PagePool::global().trim();
   ScratchArena arena;
+  const std::size_t count = kPagePoolFloor / sizeof(std::int64_t);
   {
-    ScratchVector<std::int64_t> v(arena, 1000);
+    ScratchVector<std::int64_t> v(arena, count);
     v.fill(7);
-    EXPECT_EQ(v.size(), 1000u);
-    EXPECT_EQ(v[999], 7);
+    EXPECT_EQ(v.size(), count);
+    EXPECT_EQ(v[count - 1], 7);
     EXPECT_GT(arena.stats().bytesInUse, 0u);
   }
   EXPECT_EQ(arena.stats().bytesInUse, 0u);
   EXPECT_EQ(arena.stats().blocksPooled, 1u);
 }
 
-// Fill `perClass` blocks of every size class up to `largest` bytes with
-// 0xA5 and return them to the pool, so the next acquires see garbage.
-void poisonArena(ScratchArena& arena, std::size_t largest, int perClass) {
-  for (std::size_t cls = ScratchArena::sizeClass(1);
-       cls <= ScratchArena::sizeClass(largest); cls *= 2) {
-    std::vector<void*> blocks;
-    for (int i = 0; i < perClass; ++i) {
-      blocks.push_back(arena.acquire(cls));
-      std::memset(blocks.back(), 0xA5, cls);
-    }
-    for (void* block : blocks) arena.release(block);
-  }
+// The pool serves both of its callers from one free list: an output
+// buffer freed on one thread hands its pages to another context's
+// scratch block on another thread.
+TEST(PagePool, BlockReleasedOnOneThreadServesAnotherThread) {
+  PagePool::global().trim();
+  const std::size_t count = 2 * kPagePoolFloor / sizeof(double);
+  const void* released = nullptr;
+  std::thread([&] {
+    util::Buffer<double> output(count, 1.0);
+    released = output.data();
+  }).join();
+
+  const void* reused = nullptr;
+  std::uint64_t reuseHits = 0;
+  std::thread([&] {
+    ThreadPool pool(2);
+    ExecutionContext ctx(pool);
+    ScratchVector<double> scratch(ctx.arena(), count);
+    reused = scratch.data();
+    reuseHits = ctx.arena().stats().reuseHits;
+  }).join();
+  EXPECT_EQ(reused, released);
+  EXPECT_EQ(reuseHits, 1u);
 }
 
-// Acquire leaves blocks uninitialized, so every ScratchVector user must
-// write each element before reading it.  Each kernel runs once on a fresh
-// context and once on a warm context whose pool was just poisoned; every
-// poisoned-run acquire must come from the pool, and the outputs must
-// match bit for bit.
+// Carve six neighbouring blocks out of one retained range, free every
+// other one (the live blocks between keep them from merging), and ask
+// for sizes that several of the free blocks could serve.
+TEST(PagePool, BestFitTakesTheSmallestRetainedBlockThatFits) {
+  constexpr std::size_t MiB = std::size_t{1} << 20;
+  PagePool pool;
+  pool.release(pool.acquire(12 * MiB), 12 * MiB);
+  std::vector<char*> blocks;
+  for (const std::size_t mib : {4, 1, 2, 1, 3, 1}) {
+    blocks.push_back(static_cast<char*>(pool.acquire(mib * MiB)));
+  }
+  EXPECT_EQ(blocks[1], blocks[0] + 4 * MiB) << "split from the front";
+  pool.release(blocks[0], 4 * MiB);
+  pool.release(blocks[2], 2 * MiB);
+  pool.release(blocks[4], 3 * MiB);
+  ASSERT_EQ(pool.stats().blocksRetained, 3u);
+
+  EXPECT_EQ(pool.acquire(MiB + MiB / 2), blocks[2]);  // 2 MiB block
+  EXPECT_EQ(pool.acquire(3 * MiB), blocks[4]);         // exact fit
+  EXPECT_EQ(pool.acquire(MiB), blocks[0]);             // only 4 MiB is left
+  const PagePool::Stats s = pool.stats();
+  EXPECT_EQ(s.bytesMapped, 12 * MiB);
+  EXPECT_EQ(s.reuseHits, s.acquires - 1);
+}
+
+// A seeded random mix of acquires and releases: retained plus in-use
+// bytes never exceed the high-water mark of in-use bytes, in-use bytes
+// match what the test holds, and no two live blocks overlap (each block
+// carries its own tag at both ends).
+TEST(PagePool, RandomTrafficNeverBreaksTheResidencyBound) {
+  constexpr std::size_t kPage = 4096;
+  PagePool pool;
+  std::mt19937_64 rng(20190520);
+  struct Live {
+    std::uint64_t* block;
+    std::size_t bytes;
+  };
+  std::vector<Live> live;
+  std::size_t inUse = 0;
+  std::size_t peak = 0;
+  for (std::uint64_t op = 0; op < 10000; ++op) {
+    if (live.empty() || (live.size() < 24 && rng() % 2 == 0)) {
+      const std::size_t bytes = (1 + rng() % 64) * kPage - rng() % kPage;
+      auto* block = static_cast<std::uint64_t*>(pool.acquire(bytes));
+      block[0] = op;
+      block[bytes / sizeof(std::uint64_t) - 1] = op;
+      live.push_back({block, bytes});
+      inUse += (bytes + kPage - 1) / kPage * kPage;
+      peak = std::max(peak, inUse);
+    } else {
+      const std::size_t pick = rng() % live.size();
+      const Live victim = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      ASSERT_EQ(victim.block[0],
+                victim.block[victim.bytes / sizeof(std::uint64_t) - 1])
+          << "a live block was handed out twice";
+      pool.release(victim.block, victim.bytes);
+      inUse -= (victim.bytes + kPage - 1) / kPage * kPage;
+    }
+    const PagePool::Stats s = pool.stats();
+    ASSERT_EQ(s.bytesInUse, inUse);
+    ASSERT_EQ(s.peakBytesInUse, peak);
+    ASSERT_LE(s.bytesRetained + s.bytesInUse, s.peakBytesInUse)
+        << "after operation " << op;
+  }
+  for (const Live& block : live) pool.release(block.block, block.bytes);
+  EXPECT_GT(pool.stats().reuseHits, 0u);
+}
+
+// The study's eight algorithms, twice over, each pass on its own Study,
+// context, pool and thread: the second pass finds every page it needs
+// already mapped.
+TEST(PagePool, SecondStudyPassMapsNoFreshPages) {
+  const core::AlgorithmParams params = core::AlgorithmParams::lightRendering();
+  const auto pass = [&] {
+    ThreadPool pool(2);
+    ExecutionContext ctx(pool);
+    core::Study study;
+    for (const core::Algorithm algorithm : core::allAlgorithms()) {
+      study.characterize(ctx, algorithm, 32, params);
+    }
+  };
+  std::thread(pass).join();
+  const PagePool::Stats first = PagePool::global().stats();
+  std::thread(pass).join();
+  const PagePool::Stats second = PagePool::global().stats();
+  EXPECT_GT(second.acquires, first.acquires);
+  EXPECT_EQ(second.bytesMapped, first.bytesMapped);
+  EXPECT_EQ(second.reuseHits - first.reuseHits,
+            second.acquires - first.acquires);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// A retained block is poisoned, so AddressSanitizer reports a read or
+// write through a pointer kept past release.
+TEST(PagePool, ReleasedBlockIsPoisonedForAddressSanitizer) {
+  PagePool pool;
+  auto* block = static_cast<char*>(pool.acquire(kPagePoolFloor));
+  EXPECT_FALSE(__asan_address_is_poisoned(block));
+  pool.release(block, kPagePoolFloor);
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  EXPECT_TRUE(__asan_address_is_poisoned(block + kPagePoolFloor - 1));
+  auto* again = static_cast<char*>(pool.acquire(kPagePoolFloor));
+  EXPECT_EQ(again, block);
+  EXPECT_FALSE(__asan_address_is_poisoned(again + kPagePoolFloor - 1));
+  pool.release(again, kPagePoolFloor);
+}
+#endif
+
+// Acquire leaves blocks uninitialized, so every ScratchVector user and
+// every Buffer fill must write each element before reading it.  Each
+// kernel runs once on a fresh context with the pool emptied, then once
+// on a warm context after the pool was handed one block of 0xA5 twice
+// the size of everything the first run mapped: every pool request of
+// the second run must come from those poisoned pages, and the outputs
+// must match bit for bit.
 TEST(ScratchArena, PoisonedPoolLeavesEveryKernelBitIdentical) {
-  const vis::UniformGrid g = sim::makeCloverField(20);
-  const auto [lo, hi] = g.field("energy").range();
+  const vis::UniformGrid g = sim::makeCloverField(64);
+  ExecutionContext setup;
+  const auto [lo, hi] = g.field("energy").range(setup);
+  const std::vector<double> isovalues =
+      vis::ContourFilter::uniformIsovalues(setup, g.field("energy"), 10);
   using Kernel = std::function<std::string(ExecutionContext&)>;
   const std::vector<std::pair<std::string, Kernel>> kernels = {
       {"contour",
        [&](ExecutionContext& ctx) {
          vis::ContourFilter filter;
-         filter.setIsovalues(
-             vis::ContourFilter::uniformIsovalues(g.field("energy"), 10));
+         filter.setIsovalues(isovalues);
          const vis::TriangleMesh m = filter.run(ctx, g, "energy").surface;
          testing::Fnv1a64 h;
          h.add(m.points);
@@ -176,7 +307,7 @@ TEST(ScratchArena, PoisonedPoolLeavesEveryKernelBitIdentical) {
       {"advection",
        [&](ExecutionContext& ctx) {
          vis::ParticleAdvectionFilter filter;
-         filter.setSeedCount(200);
+         filter.setSeedCount(1000);
          filter.setMaxSteps(100);
          const vis::PolylineSet lines =
              filter.run(ctx, g, "velocity").streamlines;
@@ -189,23 +320,30 @@ TEST(ScratchArena, PoisonedPoolLeavesEveryKernelBitIdentical) {
   };
 
   ThreadPool pool(4);
-  ExecutionContext warm(pool);
+  PagePool& pages = PagePool::global();
   for (const auto& [name, kernel] : kernels) {
     SCOPED_TRACE(name);
+    pages.trim();
+    const PagePool::Stats cold = pages.stats();
     ExecutionContext fresh(pool);
     const std::string expected = kernel(fresh);
-    // The fresh run's pooled bytes bound its largest single request.
-    const ScratchArena::Stats freshStats = fresh.arena().stats();
-    ASSERT_GT(freshStats.acquires, 0u);
-    poisonArena(warm.arena(), freshStats.bytesPooled, 8);
+    const PagePool::Stats ran = pages.stats();
+    ASSERT_GT(ran.acquires, cold.acquires) << "no block reached the pool";
 
-    const ScratchArena::Stats before = warm.arena().stats();
+    pages.trim();
+    const std::size_t poisoned = 2 * (ran.bytesMapped - cold.bytesMapped);
+    void* block = pages.acquire(poisoned);
+    std::memset(block, 0xA5, poisoned);
+    pages.release(block, poisoned);
+
+    ExecutionContext warm(pool);
+    const PagePool::Stats before = pages.stats();
     EXPECT_EQ(kernel(warm), expected);
-    const ScratchArena::Stats after = warm.arena().stats();
+    const PagePool::Stats after = pages.stats();
     EXPECT_EQ(after.reuseHits - before.reuseHits,
               after.acquires - before.acquires)
         << "a request missed the poisoned pool";
-    EXPECT_EQ(after.bytesInUse, 0u);
+    EXPECT_EQ(warm.arena().stats().bytesInUse, 0u);
   }
 }
 
@@ -217,10 +355,10 @@ TEST(ScratchArena, PoisonedPoolLeavesEveryKernelBitIdentical) {
 TEST(ScratchArena, ContourPassesShareOneFullGridFootprint) {
   const vis::UniformGrid g = sim::makeCloverField(64);
   vis::ContourFilter filter;
-  filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(g.field("energy"), 10));
   ThreadPool pool(4);
   ExecutionContext ctx(pool);
+  filter.setIsovalues(
+      vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 10));
   ctx.beginRun();
   const auto result = filter.run(ctx, g, "energy");
   ASSERT_GT(result.surface.numTriangles(), 0);
@@ -237,8 +375,7 @@ TEST(ScratchArena, ContourPassesShareOneFullGridFootprint) {
   EXPECT_GT(inUse, 0u);
   const auto points = static_cast<std::size_t>(g.numPoints());
   const auto cells = static_cast<std::size_t>(g.numCells());
-  EXPECT_LE(ctx.arena().stats().peakBytesInUse,
-            ScratchArena::sizeClass(points) + ScratchArena::sizeClass(cells));
+  EXPECT_LE(ctx.arena().stats().peakBytesInUse, points + cells);
 }
 
 // ---- CancelToken --------------------------------------------------------
@@ -354,8 +491,9 @@ int sweepCancellationBoundaries(ExecutionContext& ctx, Attempt&& attempt) {
 TEST(KernelCancellation, ContourCancelsCleanlyAtEveryBoundary) {
   const vis::UniformGrid g = sim::makeCloverField(12);
   vis::ContourFilter filter;
+  ExecutionContext setup;
   filter.setIsovalues(
-      vis::ContourFilter::uniformIsovalues(g.field("energy"), 2));
+      vis::ContourFilter::uniformIsovalues(setup, g.field("energy"), 2));
 
   // Reference mesh from a fresh, never-cancelled context.
   ThreadPool refPool(1);

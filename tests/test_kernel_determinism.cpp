@@ -235,9 +235,10 @@ TEST(ParallelSelect, AscendingAndConfigInvariant) {
 
 TEST(KernelDeterminism, ContourAcrossConfigs) {
   const UniformGrid g = sim::makeCloverField(16);
+  util::ExecutionContext setup;
   ContourFilter filter;
   filter.setIsovalues(
-      ContourFilter::uniformIsovalues(g.field("energy"), 3));
+      ContourFilter::uniformIsovalues(setup, g.field("energy"), 3));
   auto run = [&](util::ExecutionContext& ctx) {
     return filter.run(ctx, g, "energy").surface;
   };

@@ -65,7 +65,8 @@ using pviz::testing::Fnv1a64;
 std::string contourDigest(util::ExecutionContext& ctx, const UniformGrid& g,
                           Id& triangles) {
   ContourFilter filter;
-  filter.setIsovalues(ContourFilter::uniformIsovalues(g.field("energy"), 10));
+  filter.setIsovalues(
+      ContourFilter::uniformIsovalues(ctx, g.field("energy"), 10));
   const TriangleMesh surface = filter.run(ctx, g, "energy").surface;
   triangles = surface.numTriangles();
   Fnv1a64 h;
@@ -124,7 +125,7 @@ std::string rayTraceDigest(util::ExecutionContext& ctx, const UniformGrid& g,
 
 std::string thresholdDigest(util::ExecutionContext& ctx, const UniformGrid& g,
                             Id& kept) {
-  const auto [lo, hi] = g.field("energy").range();
+  const auto [lo, hi] = g.field("energy").range(ctx);
   const double span = hi - lo;
   ThresholdFilter filter;
   filter.setRange(lo + 0.55 * span, lo + 0.95 * span);

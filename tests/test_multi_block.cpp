@@ -267,8 +267,10 @@ TEST(MultiBlock, DomainSamplingMatchesTheGlobalGridBitwise) {
 
 TEST(MultiBlockDeterminism, ContourAcrossBlocksGhostsAndConfigs) {
   const UniformGrid g = sim::makeCloverField(16);
+  util::ExecutionContext setup;
   ContourFilter filter;
-  filter.setIsovalues(ContourFilter::uniformIsovalues(g.field("energy"), 3));
+  filter.setIsovalues(
+      ContourFilter::uniformIsovalues(setup, g.field("energy"), 3));
   const TriangleMesh reference =
       serialReference([&](util::ExecutionContext& ctx) {
         return filter.run(ctx, g, "energy").surface;
