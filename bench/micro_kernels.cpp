@@ -363,7 +363,7 @@ void BM_ContourBackend(benchmark::State& state, exec::BackendKind kind) {
   vis::ContourFilter filter;
   filter.setIsovalues(
       vis::ContourFilter::uniformIsovalues(ctx, g.field("energy"), 3));
-  ctx.setBackend(exec::backendFor(kind));
+  ctx.setBackend(kind);
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -381,7 +381,7 @@ void BM_ThresholdBackend(benchmark::State& state, exec::BackendKind kind) {
   vis::ThresholdFilter filter;
   filter.setRange(1.2, 2.2);
   util::ExecutionContext ctx;
-  ctx.setBackend(exec::backendFor(kind));
+  ctx.setBackend(kind);
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(filter.run(ctx, g, "energy").kept.numCells());
@@ -397,7 +397,7 @@ void BM_ExternalFacesBackend(benchmark::State& state,
                              exec::BackendKind kind) {
   const vis::UniformGrid& g = grid(state.range(0));
   util::ExecutionContext ctx;
-  ctx.setBackend(exec::backendFor(kind));
+  ctx.setBackend(kind);
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(
@@ -416,7 +416,7 @@ void BM_ClipSphereBackend(benchmark::State& state, exec::BackendKind kind) {
   vis::ClipSphereFilter filter;
   filter.setSphere(g.bounds().center(), 0.3);
   util::ExecutionContext ctx;
-  ctx.setBackend(exec::backendFor(kind));
+  ctx.setBackend(kind);
   for (auto _ : state) {
     ctx.beginRun();
     benchmark::DoNotOptimize(

@@ -68,21 +68,21 @@ class Study {
 
   /// Characterize (run for real) `algorithm` on the `size`^3 dataset
   /// under `params`; memoized on the profile cache key, which covers
-  /// every parameter that changes the profile (not the execution backend
-  /// or the advection schedule, whose outputs are bit-identical).  The
-  /// returned profile covers a single visualization cycle and stays
-  /// valid for the Study's lifetime.  If the context's token cancels
-  /// mid-kernel the characterization throws util::CancelledError and
-  /// leaves the memo and disk caches untouched (a later uncancelled call
-  /// re-runs from scratch).
+  /// every parameter that changes the profile (not the execution backend,
+  /// whose outputs are bit-identical).  The returned profile covers a
+  /// single visualization cycle and stays valid for the Study's
+  /// lifetime.  If the context's token cancels mid-kernel the
+  /// characterization throws util::CancelledError and leaves the memo
+  /// and disk caches untouched (a later uncancelled call re-runs from
+  /// scratch).
   const vis::KernelProfile& characterize(util::ExecutionContext& ctx,
                                          Algorithm algorithm, vis::Id size,
                                          const AlgorithmParams& params);
 
   /// Characterize once, then evaluate every cap on the package model
   /// (the profile work-scaled and repeated for `cycles`); ratios are
-  /// against capsWatts[0].  The caps run in parallel through
-  /// `ctx.backend()`, one cap per chunk, into slot-indexed records, so
+  /// against capsWatts[0].  The caps run in parallel under the context's
+  /// backend kind, one cap per chunk, into slot-indexed records, so
   /// the result is bit-identical on every backend and pool size; a
   /// cancelled context throws util::CancelledError.
   std::vector<ConfigRecord> capSweep(util::ExecutionContext& ctx,

@@ -15,12 +15,13 @@ namespace pviz::service {
 
 ServiceEngine::ServiceEngine(EngineConfig config)
     : config_(std::move(config)),
+      // A bad configured backend fails here, at boot, not per request.
+      backend_(config_.backend.empty()
+                   ? exec::defaultBackendKind()
+                   : exec::parseBackendToken(config_.backend)),
       study_(config_.study),
       advisor_(config_.study.machine),
-      cache_(config_.cacheEntries, config_.cacheShards) {
-  // A bad configured backend should fail at boot, not per request.
-  if (!config_.backend.empty()) exec::parseBackendToken(config_.backend);
-}
+      cache_(config_.cacheEntries, config_.cacheShards) {}
 
 Request ServiceEngine::normalize(const Request& request) const {
   Request out = request;
@@ -66,14 +67,9 @@ std::string ServiceEngine::compute(util::ExecutionContext& ctx,
                                    const Admission& admission) {
   const Request& request = admission.request;
   // Backend precedence: request field > engine config > process default.
-  if (!request.backend.empty()) {
-    ctx.setBackend(exec::backendFor(exec::parseBackendToken(request.backend)));
-  } else if (!config_.backend.empty()) {
-    ctx.setBackend(
-        exec::backendFor(exec::parseBackendToken(config_.backend)));
-  } else {
-    ctx.setBackend(exec::defaultBackend());
-  }
+  ctx.setBackend(request.backend.empty()
+                     ? backend_
+                     : exec::parseBackendToken(request.backend));
   // A cancelled execute() throws past the put, so the cache only ever
   // holds results of runs that finished.
   std::string result = execute(ctx, request).dump();
@@ -90,16 +86,21 @@ const vis::KernelProfile& ServiceEngine::profileFor(
     PVIZ_REQUIRE(request.algorithm == core::Algorithm::ParticleAdvection,
                  "advect_* overrides are only valid with algorithm=advection");
   }
-  core::AlgorithmParams params = config_.study.params;
+  core::AlgorithmParams params = paramsFor(request);
   if (request.advectSeeds > 0) params.seedCount = request.advectSeeds;
   if (request.advectSteps > 0) params.maxSteps = request.advectSteps;
   if (!request.advectMode.empty()) params.advectionMode = request.advectMode;
+  return study_.characterize(ctx, request.algorithm, request.size, params);
+}
+
+core::AlgorithmParams ServiceEngine::paramsFor(const Request& request) const {
   // Decomposition overrides are valid on ANY algorithm (every kernel
   // runs multi-block, or on the stitched grid when its traversal is
   // global), unlike advect_* which only makes sense for advection.
+  core::AlgorithmParams params = config_.study.params;
   if (request.blocks > 0) params.blockCount = request.blocks;
   if (request.ghost > 0) params.ghostLayers = request.ghost;
-  return study_.characterize(ctx, request.algorithm, request.size, params);
+  return params;
 }
 
 Json ServiceEngine::execute(util::ExecutionContext& ctx,
@@ -170,9 +171,7 @@ Json ServiceEngine::runStudySlice(util::ExecutionContext& ctx,
                                   const Request& request) {
   Json records = Json::array();
   std::size_t count = 0;
-  core::AlgorithmParams params = config_.study.params;
-  if (request.blocks > 0) params.blockCount = request.blocks;
-  if (request.ghost > 0) params.ghostLayers = request.ghost;
+  const core::AlgorithmParams params = paramsFor(request);
   for (vis::Id size : request.sizes) {
     for (core::Algorithm algorithm : request.algorithms) {
       for (core::ConfigRecord& record :

@@ -21,6 +21,7 @@
 #include "core/study.h"
 #include "service/protocol.h"
 #include "service/result_cache.h"
+#include "util/backend.h"
 
 namespace pviz::util {
 class ExecutionContext;
@@ -109,8 +110,11 @@ class ServiceEngine {
   /// other.
   const vis::KernelProfile& profileFor(util::ExecutionContext& ctx,
                                        const Request& request);
+  /// The configured params with the request's blocks / ghost overrides.
+  core::AlgorithmParams paramsFor(const Request& request) const;
 
   EngineConfig config_;
+  exec::BackendKind backend_;  ///< config_.backend, else the process default
   core::Study study_;
   core::PowerAdvisor advisor_;
   ResultCache cache_;

@@ -516,9 +516,8 @@ std::string canonicalCacheKey(const Request& request) {
     for (double c : request.capsWatts) key << c << ',';
   };
   // Advection overrides fork the result (seed count, step count and
-  // mode all change the profile), so they fork the key.  The schedule
-  // is absent for the same reason `backend` is: bit-identical results
-  // must share one entry.
+  // mode all change the profile), so they fork the key.  `backend` is
+  // absent: bit-identical results must share one entry.
   auto appendAdvect = [&] {
     if (request.advectSeeds > 0) key << "|aseeds=" << request.advectSeeds;
     if (request.advectSteps > 0) key << "|asteps=" << request.advectSteps;

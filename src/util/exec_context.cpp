@@ -4,14 +4,9 @@
 #include <new>
 #include <sstream>
 
-#include "util/backend.h"
 #include "util/page_pool.h"
 
 namespace pviz::util {
-
-unsigned ExecutionContext::concurrency() const noexcept {
-  return backend_->concurrency(*pool_);
-}
 
 void* ScratchArena::acquire(std::size_t bytes) {
   if (bytes == 0) return nullptr;
@@ -24,19 +19,13 @@ void* ScratchArena::acquire(std::size_t bytes) {
   if (reused) ++reuseHits_;
   bytesInUse_ += bytes;
   peakBytesInUse_ = std::max(peakBytesInUse_, bytesInUse_);
-  live_.emplace(block, bytes);
   return block;
 }
 
-void ScratchArena::release(void* block) noexcept {
+void ScratchArena::release(void* block, std::size_t bytes) noexcept {
   if (block == nullptr) return;
-  std::size_t bytes = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = live_.find(block);
-    if (it == live_.end()) return;  // not ours; ignore rather than crash
-    bytes = it->second;
-    live_.erase(it);
     bytesInUse_ -= bytes;
   }
   if (bytes >= kPagePoolFloor) {

@@ -8,6 +8,8 @@
 // The context bundles:
 //
 //   * ThreadPool&    — the pool the run's loops execute on
+//   * BackendKind    — serial (the caller runs every chunk, the pool is
+//                      never touched) or threaded (util/backend.h)
 //   * ScratchArena   — kernel-lifetime scratch blocks.  Blocks of at
 //                      least kPagePoolFloor come from the process-wide
 //                      PagePool (util/page_pool.h), which also backs
@@ -20,8 +22,8 @@
 //                      width, emitted as JSON next to the WorkProfile
 //
 // A context is externally synchronized: one kernel run uses it at a time
-// (the service layer keeps one context per request worker).  The arena
-// is internally locked because pool workers acquire and release blocks
+// (the service layer keeps one context per request worker).  The arena's
+// counters are locked because pool workers acquire and release blocks
 // concurrently.
 #pragma once
 
@@ -33,20 +35,13 @@
 #include <mutex>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "util/backend.h"
 #include "util/error.h"
 #include "util/thread_id.h"
 #include "util/thread_pool.h"
-
-namespace pviz::exec {
-// See util/backend.h.  Forward-declared so exec_context.h stays the
-// bottom of the include graph.
-class Backend;
-const Backend& defaultBackend() noexcept;
-}  // namespace pviz::exec
 
 namespace pviz::util {
 
@@ -170,8 +165,9 @@ class ScratchArena {
   /// kernel type.
   void* acquire(std::size_t bytes);
 
-  /// Give a block back.  No-op for nullptr.
-  void release(void* block) noexcept;
+  /// Give back a block acquired with the same `bytes`.  No-op for
+  /// nullptr.
+  void release(void* block, std::size_t bytes) noexcept;
 
   /// Unmap the page pool's retained ranges.  Live blocks are unaffected.
   void trim() noexcept;
@@ -179,8 +175,7 @@ class ScratchArena {
   Stats stats() const;
 
  private:
-  mutable std::mutex mutex_;
-  std::unordered_map<const void*, std::size_t> live_;  // block -> bytes
+  mutable std::mutex mutex_;  // guards the counters below
   std::uint64_t acquires_ = 0;
   std::uint64_t reuseHits_ = 0;
   std::size_t bytesInUse_ = 0;
@@ -237,7 +232,7 @@ class ScratchVector {
   }
 
   void release() noexcept {
-    if (arena_ != nullptr && data_ != nullptr) arena_->release(data_);
+    if (arena_ != nullptr) arena_->release(data_, size_ * sizeof(T));
     arena_ = nullptr;
     data_ = nullptr;
     size_ = 0;
@@ -312,21 +307,20 @@ class ExecutionContext {
   CancelToken& cancel() noexcept { return cancel_; }
   PhaseTracer& tracer() noexcept { return tracer_; }
 
-  /// The execution backend this context's loops dispatch through.
-  /// Defaults to exec::defaultBackend() (POWERVIZ_BACKEND or threaded);
-  /// the service engine re-points it per request.  Backends are shared
-  /// immutable singletons, so switching is just a pointer store — but
-  /// like the rest of the context it is externally synchronized: set it
-  /// between runs, not while a kernel is in flight.
-  const exec::Backend& backend() const noexcept { return *backend_; }
-  void setBackend(const exec::Backend& backend) noexcept {
-    backend_ = &backend;
-  }
+  /// Who runs this context's loops.  Defaults to
+  /// exec::defaultBackendKind() (POWERVIZ_BACKEND or threaded); the
+  /// service engine sets it per request.  Like the rest of the context
+  /// it is externally synchronized: set it between runs, not while a
+  /// kernel is in flight.
+  exec::BackendKind backend() const noexcept { return backend_; }
+  void setBackend(exec::BackendKind kind) noexcept { backend_ = kind; }
 
-  /// Worker parallelism the backend will actually use on this context's
-  /// pool (1 for the serial backend).  Kernels sizing partitions must
-  /// ask this, never the pool directly — the backend is the authority.
-  unsigned concurrency() const noexcept;
+  /// Worker parallelism a loop on this context actually gets (1 under
+  /// serial).  Kernels sizing partitions must ask this, never the pool
+  /// directly.
+  unsigned concurrency() const noexcept {
+    return backend_ == exec::BackendKind::Serial ? 1 : pool_->concurrency();
+  }
 
   /// Poll the cancel token; throws CancelledError when due.
   void checkCancelled() { cancel_.throwIfCancelled(); }
@@ -393,7 +387,7 @@ class ExecutionContext {
 
  private:
   ThreadPool* pool_;
-  const exec::Backend* backend_ = &exec::defaultBackend();
+  exec::BackendKind backend_ = exec::defaultBackendKind();
   ScratchArena arena_;
   CancelToken cancel_;
   PhaseTracer tracer_;

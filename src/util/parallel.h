@@ -4,12 +4,13 @@
 // variable-sized output count per element, exclusiveScan the counts into
 // offsets, allocate once and fill in parallel at those offsets.
 //
-// Every primitive takes the ExecutionContext the caller runs under: it
-// dispatches chunks through the context's exec::Backend (serial or
-// threaded — see util/backend.h) onto the context's pool and polls the
-// context's CancelToken at chunk boundaries, so a cancelled run unwinds
-// at the next chunk edge (the pool captures the CancelledError, drains
-// the remaining chunks, and rethrows in the caller).
+// Every primitive takes the ExecutionContext the caller runs under: one
+// branch on the context's exec::BackendKind (util/backend.h) runs the
+// chunks in order on the caller (serial) or on the context's pool
+// (threaded), and every chunk polls the context's CancelToken, so a
+// cancelled run unwinds at the next chunk edge (the pool captures the
+// CancelledError, drains the remaining chunks, and rethrows in the
+// caller).
 //
 // Determinism contract: for a fixed input, every primitive here produces
 // bit-identical results on every backend and pool size.  The
@@ -23,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/backend.h"
 #include "util/exec_context.h"
 #include "util/thread_pool.h"
 
@@ -38,9 +38,10 @@ inline constexpr std::int64_t kScanGrain = 1 << 14;
 
 namespace detail {
 
-/// Hand a chunked loop to the context's backend, polling the cancel
-/// token at every chunk edge.  `f(b, e)` is type-erased through the same
-/// thunk pattern ThreadPool uses (no std::function).
+/// Run a chunked loop under the context's backend kind, polling the
+/// cancel token at every chunk edge.  Serial walks the chunks in order
+/// on the caller and never touches the pool, so a serial run neither
+/// waits for a pool another thread holds nor nests inside one.
 template <typename ChunkFunc>
 void dispatchChunks(ExecutionContext& ctx, std::int64_t begin,
                     std::int64_t end, std::int64_t grain, ChunkFunc&& f) {
@@ -48,11 +49,14 @@ void dispatchChunks(ExecutionContext& ctx, std::int64_t begin,
     cancel.throwIfCancelled();
     f(b, e);
   };
-  ctx.backend().forChunks(ctx.pool(), begin, end, grain,
-                          static_cast<void*>(std::addressof(polled)),
-                          [](void* env, std::int64_t b, std::int64_t e) {
-                            (*static_cast<decltype(polled)*>(env))(b, e);
-                          });
+  if (ctx.backend() == exec::BackendKind::Serial) {
+    PVIZ_REQUIRE(grain > 0, "chunk grain must be positive");
+    for (std::int64_t b = begin; b < end; b += grain) {
+      polled(b, std::min(b + grain, end));
+    }
+  } else {
+    ctx.pool().parallelFor(begin, end, grain, polled);
+  }
 }
 
 }  // namespace detail

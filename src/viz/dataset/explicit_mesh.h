@@ -58,21 +58,18 @@ struct TriangleMesh {
   }
 };
 
+/// A tet soup: tet t is points 4t..4t+3, so no connectivity is stored.
 struct TetMesh {
-  util::Buffer<Vec3> points;
-  util::Buffer<Id> connectivity;      // 4 point ids per tetrahedron
+  util::Buffer<Vec3> points;          // 4 per tetrahedron
   util::Buffer<double> pointScalars;  // empty or one per point
 
-  Id numTets() const { return static_cast<Id>(connectivity.size()) / 4; }
+  Id numTets() const { return numPoints() / 4; }
   Id numPoints() const { return static_cast<Id>(points.size()); }
 
   /// Signed volume of tet `t` (positive for positively oriented tets).
   double tetVolume(Id t) const {
-    const Vec3& a = points[static_cast<std::size_t>(connectivity[4 * t])];
-    const Vec3& b = points[static_cast<std::size_t>(connectivity[4 * t + 1])];
-    const Vec3& c = points[static_cast<std::size_t>(connectivity[4 * t + 2])];
-    const Vec3& d = points[static_cast<std::size_t>(connectivity[4 * t + 3])];
-    return dot(cross(b - a, c - a), d - a) / 6.0;
+    const Vec3* p = points.data() + 4 * t;
+    return dot(cross(p[1] - p[0], p[2] - p[0]), p[3] - p[0]) / 6.0;
   }
 
   /// Total unsigned volume of the mesh.

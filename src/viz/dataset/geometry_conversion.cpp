@@ -57,13 +57,10 @@ TriangleMesh tetMeshToTriangles(const TetMesh& tets) {
     for (const auto& face : kTetFaces) {
       const Id base = mesh.numPoints();
       for (int v = 0; v < 3; ++v) {
-        const Id p =
-            tets.connectivity[static_cast<std::size_t>(4 * t + face[v])];
-        mesh.points.push_back(tets.points[static_cast<std::size_t>(p)]);
+        const auto p = static_cast<std::size_t>(4 * t + face[v]);
+        mesh.points.push_back(tets.points[p]);
         mesh.pointScalars.push_back(
-            tets.pointScalars.empty()
-                ? 0.0
-                : tets.pointScalars[static_cast<std::size_t>(p)]);
+            tets.pointScalars.empty() ? 0.0 : tets.pointScalars[p]);
       }
       mesh.connectivity.push_back(base);
       mesh.connectivity.push_back(base + 1);

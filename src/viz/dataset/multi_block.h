@@ -79,7 +79,7 @@ class MultiBlockGrid {
 
   /// Fill every ghost plane from its owning block and materialize the
   /// per-block owned views.  Pure copies of disjoint ranges — the result
-  /// is identical on every backend, pool size, and schedule.
+  /// is identical on every backend and pool size.
   CopyStats exchangeGhosts(util::ExecutionContext& ctx);
   const CopyStats& lastExchange() const { return lastExchange_; }
 

@@ -176,10 +176,8 @@ void clipTetrahedron(const Vec3 pos[4], const double clip[4],
   Vec3 points[12];
   double scalars[12];
   const int n = 4 * clipTetrahedron(pos, clip, carry, points, scalars);
-  const Id base = out.numPoints();
   out.points.insert(out.points.end(), points, points + n);
   out.pointScalars.insert(out.pointScalars.end(), scalars, scalars + n);
-  for (Id i = 0; i < n; ++i) out.connectivity.push_back(base + i);
 }
 
 int clipHexCell(const Vec3 pos[8], const double clip[8], const double carry[8],
@@ -211,7 +209,6 @@ void resizeTetSoup(TetMesh& mesh, Id tets) {
   const auto n = static_cast<std::size_t>(4 * tets);
   mesh.points.resize(n);
   mesh.pointScalars.resize(n);
-  mesh.connectivity.resize(n);
 }
 
 ClipResult clipUniformGrid(util::ExecutionContext& ctx,

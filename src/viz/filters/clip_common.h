@@ -82,23 +82,14 @@ int clipHexCell(const Vec3 pos[8], const double clip[8], const double carry[8],
 void hexCellCorners(const UniformGrid& grid, Id cell, Vec3 pos[8], Id pts[8]);
 
 /// Size `mesh` as a soup of `tets` tets, four points per tet, writing
-/// nothing: the caller's fill writes every tet's points, scalars and
-/// identity connectivity (point p has id p).
+/// nothing: the caller's fill writes every tet's points and scalars.
 void resizeTetSoup(TetMesh& mesh, Id tets);
-
-/// Write the identity connectivity of soup tets [tetBegin, tetEnd).
-inline void writeSoupIds(TetMesh& mesh, Id tetBegin, Id tetEnd) {
-  for (Id p = 4 * tetBegin; p < 4 * tetEnd; ++p) {
-    mesh.connectivity[static_cast<std::size_t>(p)] = p;
-  }
-}
 
 /// Count -> scan -> fill `out` as a tet soup over `items` work items, in
 /// item order.  `count(i)` is item i's exact tet count; `fill(i, points,
 /// scalars)` writes its tets at the item's scanned slot and returns how
-/// many it wrote; the same parallel pass writes their ids.  `out` is
-/// allocated once and first touched by the fill.  Returns each item's
-/// first tet.
+/// many it wrote.  `out` is allocated once and first touched by the
+/// fill.  Returns each item's first tet.
 template <typename Count, typename Fill>
 util::ScratchVector<std::int64_t> fillTetSoup(util::ExecutionContext& ctx,
                                               Id items, Count&& count,
@@ -119,7 +110,6 @@ util::ScratchVector<std::int64_t> fillTetSoup(util::ExecutionContext& ctx,
         const int tets =
             fill(i, out.points.data() + at, out.pointScalars.data() + at);
         PVIZ_ASSERT(tets == end - offsets[slot]);
-        writeSoupIds(out, offsets[slot], end);
       },
       /*grain=*/256);
   return offsets;

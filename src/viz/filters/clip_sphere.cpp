@@ -66,6 +66,7 @@ ClipSphereFilter::Result ClipSphereFilter::run(
   subdivide.flops = cut * 6 * 14 + keptTets * 42;  // tet clip + lerps
   subdivide.intOps = cut * 115 + keptTets * 40;
   subdivide.memOps = cut * 60 + keptTets * 40;
+  // Per tet point: position, scalar, and the id VTK-m's output carries.
   subdivide.bytesStreamed = keptTets * 4 * (24 + 8 + 8) + cut * 24;
   subdivide.bytesReused = cut * 8 * 24;
   subdivide.irregularAccesses = cut * 20;

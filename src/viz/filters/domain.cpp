@@ -64,12 +64,10 @@ HexSubset stitchCells(const MultiBlockGrid& domain, CellsOf&& cellsOf) {
 }
 
 /// Copy tets [tetBegin, tetEnd) of the soup `in` to the pre-sized soup
-/// `out` from tet slot `at`, writing their identity ids there: tet soups
-/// have identity connectivity, so copying the points in place keeps
-/// every tet valid.
+/// `out` from tet slot `at`: tet t is points 4t..4t+3, so copying the
+/// points in place keeps every tet valid.
 void copyTets(TetMesh& out, Id at, const TetMesh& in, Id tetBegin,
               Id tetEnd) {
-  PVIZ_ASSERT(in.numPoints() == in.numTets() * 4);
   const auto pb = static_cast<std::ptrdiff_t>(tetBegin * 4);
   const auto pe = static_cast<std::ptrdiff_t>(tetEnd * 4);
   const auto to = static_cast<std::ptrdiff_t>(at * 4);
@@ -77,7 +75,6 @@ void copyTets(TetMesh& out, Id at, const TetMesh& in, Id tetBegin,
             out.points.begin() + to);
   std::copy(in.pointScalars.begin() + pb, in.pointScalars.begin() + pe,
             out.pointScalars.begin() + to);
-  writeSoupIds(out, at, at + tetEnd - tetBegin);
 }
 
 }  // namespace
@@ -228,6 +225,7 @@ ClipSphereFilter::Result runClipSphere(util::ExecutionContext& ctx,
   for (auto& part : parts) profiles.push_back(std::move(part.profile));
   result.profile =
       mergeBlockProfiles(std::move(profiles), domain.skeleton().numCells());
+  // 40 B per tet point includes the connectivity id VTK-m's output carries.
   result.profile.phases.push_back(blockStitchPhase(
       static_cast<double>(result.clipped.wholeCells.numCells()) * 16.0 +
       static_cast<double>(result.clipped.cutPieces.numPoints()) * 40.0));
@@ -275,6 +273,7 @@ IsovolumeFilter::Result runIsovolume(util::ExecutionContext& ctx,
   for (auto& part : parts) profiles.push_back(std::move(part.profile));
   result.profile =
       mergeBlockProfiles(std::move(profiles), domain.skeleton().numCells());
+  // 40 B per tet point includes the connectivity id VTK-m's output carries.
   result.profile.phases.push_back(blockStitchPhase(
       static_cast<double>(result.wholeCells.numCells()) * 16.0 +
       static_cast<double>(result.cutPieces.numPoints()) * 40.0));

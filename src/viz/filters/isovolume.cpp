@@ -184,6 +184,7 @@ IsovolumeFilter::Result IsovolumeFilter::run(
   subdivide.flops = cut * 6 * 36 + keptTets * 95;
   subdivide.intOps = cut * 300 + keptTets * 80;
   subdivide.memOps = cut * 66 + keptTets * 44;
+  // 40 B per tet point includes the connectivity id VTK-m's output carries.
   subdivide.bytesStreamed = keptTets * 4 * 40 + cut * 24;
   subdivide.bytesReused = cut * 8 * 24;
   subdivide.irregularAccesses = cut * 22;

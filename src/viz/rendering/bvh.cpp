@@ -44,13 +44,12 @@ struct Bvh::BuildData {
 };
 
 Bvh::Bvh(util::ExecutionContext& ctx, const TriangleMesh& mesh,
-         int maxLeafSize, bool parallelBuild)
+         int maxLeafSize)
     : mesh_(mesh) {
-  build(ctx, maxLeafSize, parallelBuild);
+  build(ctx, maxLeafSize);
 }
 
-void Bvh::build(util::ExecutionContext& ctx, int maxLeafSize,
-                bool parallelBuild) {
+void Bvh::build(util::ExecutionContext& ctx, int maxLeafSize) {
   PVIZ_REQUIRE(maxLeafSize >= 1, "BVH leaf size must be >= 1");
   const Id n = mesh_.numTriangles();
   order_.resize(static_cast<std::size_t>(n));
@@ -66,10 +65,9 @@ void Bvh::build(util::ExecutionContext& ctx, int maxLeafSize,
   if (n == 0) return;
   nodes_.reserve(static_cast<std::size_t>(2 * n));
 
-  // Concurrency comes from the context's backend — no hidden singleton
-  // read, and a serial backend disables the parallel build outright.
+  // A serial context (concurrency 1) takes the one-thread recursion.
   const unsigned conc = ctx.concurrency();
-  if (parallelBuild && conc > 1 && n >= kMinParallelTris) {
+  if (conc > 1 && n >= kMinParallelTris) {
     buildParallel(ctx, bd, conc);
   } else {
     buildInto(nodes_, 0, n, bd);

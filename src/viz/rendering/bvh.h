@@ -45,11 +45,11 @@ class Bvh {
 
   /// Build over `mesh` (which must outlive the BVH).  Construction runs
   /// the centroid/bounds pass and the top-level splits on the context's
-  /// pool; `parallelBuild = false` forces the serial reference path,
-  /// which produces a bit-identical node array (the determinism suite
-  /// checks this).
+  /// pool; a serial context takes the one-thread recursion, which
+  /// produces a bit-identical node array (the determinism suite checks
+  /// this).
   Bvh(util::ExecutionContext& ctx, const TriangleMesh& mesh,
-      int maxLeafSize = 4, bool parallelBuild = true);
+      int maxLeafSize = 4);
 
   /// Nearest intersection along `ray`, or a miss.
   TriangleHit intersect(const Ray& ray, TraversalStats* stats = nullptr) const;
@@ -67,8 +67,7 @@ class Bvh {
  private:
   struct BuildData;  // cached per-triangle bounds/centroids (bvh.cpp)
 
-  void build(util::ExecutionContext& ctx, int maxLeafSize,
-             bool parallelBuild);
+  void build(util::ExecutionContext& ctx, int maxLeafSize);
   std::int32_t buildInto(std::vector<Node>& out, std::int64_t begin,
                          std::int64_t end, BuildData& bd);
   void buildParallel(util::ExecutionContext& ctx, BuildData& bd,

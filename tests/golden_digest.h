@@ -28,6 +28,11 @@ class Fnv1a64 {
   void addValue(const T& value) {
     addBytes(&value, sizeof(T));
   }
+  /// The int64 ids 0 … n-1: the identity connectivity of an n-point tet
+  /// soup, which the soup itself does not store.
+  void addIdentityIds(std::int64_t n) {
+    for (std::int64_t i = 0; i < n; ++i) addValue(i);
+  }
   std::string hex() const {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",

@@ -219,7 +219,7 @@ TEST(ContourCell, EveryCornerSignPatternCutsItsOwnEdges) {
     g.cellPointIds(Id3{0, 0, 0}, pts);
     util::ThreadPool pool(1);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(exec::serialBackend());
+    ctx.setBackend(exec::BackendKind::Serial);
     ContourFilter filter;
     filter.setIsovalues({0.0});
     const TriangleMesh mesh = filter.run(ctx, g, "v").surface;
@@ -253,14 +253,14 @@ TEST(ContourCell, EveryCornerSignPatternCutsItsOwnEdges) {
   }
 
   // Both backends x pool sizes reproduce the serial meshes bit for bit.
-  for (const exec::Backend* backend :
-       {&exec::serialBackend(), &exec::threadedBackend()}) {
+  for (exec::BackendKind backend :
+         {exec::BackendKind::Serial, exec::BackendKind::Threaded}) {
     for (const unsigned workers : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(backend->token()) + " backend, pool " +
+      SCOPED_TRACE(std::string(exec::backendToken(backend)) + " backend, pool " +
                    std::to_string(workers));
       util::ThreadPool pool(workers);
       util::ExecutionContext ctx(pool);
-      ctx.setBackend(*backend);
+      ctx.setBackend(backend);
       for (int pattern = 0; pattern < 256; ++pattern) {
         double corner[8];
         const UniformGrid g = singleCellGrid(pattern, corner);

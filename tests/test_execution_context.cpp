@@ -63,7 +63,7 @@ TEST(ScratchArena, ReleaseThenAcquireReusesTheBlock) {
   ScratchArena arena;
   void* first = arena.acquire(kPagePoolFloor + 10000);
   ASSERT_NE(first, nullptr);
-  arena.release(first);
+  arena.release(first, kPagePoolFloor + 10000);
 
   ScratchArena::Stats afterRelease = arena.stats();
   EXPECT_EQ(afterRelease.bytesInUse, 0u);
@@ -75,7 +75,7 @@ TEST(ScratchArena, ReleaseThenAcquireReusesTheBlock) {
   ScratchArena::Stats afterReuse = arena.stats();
   EXPECT_EQ(afterReuse.acquires, 2u);
   EXPECT_EQ(afterReuse.reuseHits, 1u);
-  arena.release(second);
+  arena.release(second, kPagePoolFloor + 5000);
 
   arena.trim();
   EXPECT_EQ(arena.stats().blocksPooled, 0u);
@@ -276,7 +276,7 @@ TEST(ScratchArena, PoisonedPoolLeavesEveryKernelBitIdentical) {
          testing::Fnv1a64 h;
          h.add(r.cutPieces.points);
          h.add(r.cutPieces.pointScalars);
-         h.add(r.cutPieces.connectivity);
+         h.addIdentityIds(r.cutPieces.numPoints());
          h.add(r.wholeCells.cellIds);
          h.add(r.wholeCells.cellScalars);
          return h.hex();
@@ -289,7 +289,7 @@ TEST(ScratchArena, PoisonedPoolLeavesEveryKernelBitIdentical) {
          testing::Fnv1a64 h;
          h.add(r.cutPieces.points);
          h.add(r.cutPieces.pointScalars);
-         h.add(r.cutPieces.connectivity);
+         h.addIdentityIds(r.cutPieces.numPoints());
          h.add(r.wholeCells.cellIds);
          h.add(r.wholeCells.cellScalars);
          return h.hex();

@@ -67,7 +67,6 @@ TEST(TetMeshToTriangles, VolumePreservingSurfaceCount) {
   TetMesh tets;
   tets.points = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
   tets.pointScalars = {1, 2, 3, 4};
-  tets.connectivity = {0, 1, 2, 3};
   const TriangleMesh mesh = tetMeshToTriangles(tets);
   EXPECT_EQ(mesh.numTriangles(), 4);
   // Faces: three right triangles of area 1/2 plus sqrt(3)/2.

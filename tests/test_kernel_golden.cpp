@@ -166,7 +166,7 @@ TEST_P(KernelGolden, DigestsMatchOnEveryPoolSize) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(exec::threadedBackend());
+    ctx.setBackend(exec::BackendKind::Threaded);
     Id triangles = 0;
     EXPECT_EQ(contourDigest(ctx, g, triangles), golden.contour);
     EXPECT_EQ(triangles, golden.triangles);
@@ -202,14 +202,14 @@ TEST_P(SelectGoldenTest, DigestsMatchOnEveryBackendAndPoolSize) {
   const SelectGolden& golden = GetParam();
   util::ExecutionContext setup;
   const UniformGrid g = sim::makeCloverField(setup, golden.cells);
-  for (const exec::Backend* backend :
-       {&exec::serialBackend(), &exec::threadedBackend()}) {
+  for (exec::BackendKind backend :
+         {exec::BackendKind::Serial, exec::BackendKind::Threaded}) {
     for (const unsigned workers : {1u, 4u}) {
-      SCOPED_TRACE(std::string(backend->token()) +
+      SCOPED_TRACE(std::string(exec::backendToken(backend)) +
                    " workers=" + std::to_string(workers));
       util::ThreadPool pool(workers);
       util::ExecutionContext ctx(pool);
-      ctx.setBackend(*backend);
+      ctx.setBackend(backend);
       Id kept = 0;
       EXPECT_EQ(thresholdDigest(ctx, g, kept), golden.threshold);
       EXPECT_EQ(kept, golden.kept);
@@ -269,14 +269,14 @@ std::string linesDigest(const ParticleAdvectionFilter::Result& result) {
 // Run `body(ctx)` on a context per backend and pool size.
 template <typename Body>
 void onEveryContext(Body&& body) {
-  for (const exec::Backend* backend :
-       {&exec::serialBackend(), &exec::threadedBackend()}) {
+  for (exec::BackendKind backend :
+         {exec::BackendKind::Serial, exec::BackendKind::Threaded}) {
     for (const unsigned workers : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(backend->token()) +
+      SCOPED_TRACE(std::string(exec::backendToken(backend)) +
                    " workers=" + std::to_string(workers));
       util::ThreadPool pool(workers);
       util::ExecutionContext ctx(pool);
-      ctx.setBackend(*backend);
+      ctx.setBackend(backend);
       body(ctx);
     }
   }

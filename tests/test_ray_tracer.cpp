@@ -129,7 +129,7 @@ TEST(RayTracer, TiledImagesMatchAcrossPoolSizes) {
   const auto render = [&](unsigned workers) {
     util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(exec::threadedBackend());
+    ctx.setBackend(exec::BackendKind::Threaded);
     return tracer.run(ctx, g, "energy");
   };
   const auto one = render(1);

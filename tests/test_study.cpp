@@ -62,7 +62,7 @@ TEST(Study, CancelledDatasetBuildLeavesNoEntry) {
   // The next call builds the whole dataset: the golden digest of
   // makeCloverField at n = 32 (test_kernel_golden.cpp).
   util::ExecutionContext ctx(pool);
-  ctx.setBackend(exec::serialBackend());
+  ctx.setBackend(exec::BackendKind::Serial);
   const vis::UniformGrid& g = study.dataset(ctx, 32);
   pviz::testing::Fnv1a64 h;
   h.add(g.field("energy").data());
@@ -125,7 +125,7 @@ const std::vector<double> kPaperCaps = {120, 110, 100, 90, 80,
 /// capSweep of contour at 8^3 over the paper's caps, on an explicit pool
 /// of `workers` participants and an explicit backend.
 std::vector<ConfigRecord> sweepOn(Study& study, unsigned workers,
-                                  const exec::Backend& backend) {
+                                  exec::BackendKind backend) {
   util::ThreadPool pool(workers);
   util::ExecutionContext ctx(pool);
   ctx.setBackend(backend);
@@ -254,7 +254,7 @@ TEST(Study, OneCapSweepEqualsTheFullSweepsFirstRecord) {
 TEST(Study, ParallelCapSweepIsBitIdenticalOnEveryBackendAndPool) {
   Study study(smallConfig());
   const std::vector<ConfigRecord> reference =
-      sweepOn(study, 1, exec::serialBackend());
+      sweepOn(study, 1, exec::BackendKind::Serial);
   ASSERT_EQ(reference.size(), kPaperCaps.size());
 
   const StudyConfig& config = study.config();
@@ -275,7 +275,7 @@ TEST(Study, ParallelCapSweepIsBitIdenticalOnEveryBackendAndPool) {
   for (const unsigned workers : {1u, 2u, 4u}) {
     SCOPED_TRACE("threaded, workers=" + std::to_string(workers));
     expectSameRecords(reference,
-                      sweepOn(study, workers, exec::threadedBackend()));
+                      sweepOn(study, workers, exec::BackendKind::Threaded));
   }
 }
 
@@ -284,17 +284,17 @@ TEST(Study, ParallelCapSweepIsBitIdenticalOnEveryBackendAndPool) {
 TEST(Study, CancelledCapSweepThrowsAndTheNextSweepMatches) {
   Study study(smallConfig());
   const std::vector<ConfigRecord> reference =
-      sweepOn(study, 1, exec::serialBackend());
+      sweepOn(study, 1, exec::BackendKind::Serial);
 
   util::ThreadPool pool(4);
   util::ExecutionContext cancelled(pool);
-  cancelled.setBackend(exec::threadedBackend());
+  cancelled.setBackend(exec::BackendKind::Threaded);
   cancelled.cancel().cancel();
   EXPECT_THROW(
       study.capSweep(cancelled, Algorithm::Contour, 8, kPaperCaps, 2),
       util::CancelledError);
 
-  expectSameRecords(reference, sweepOn(study, 4, exec::threadedBackend()));
+  expectSameRecords(reference, sweepOn(study, 4, exec::BackendKind::Threaded));
 }
 
 TEST(Study, CapSweepHasOneRecordPerCap) {

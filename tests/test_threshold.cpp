@@ -197,17 +197,17 @@ UniformGrid twoValueCell(int pattern, double low, double high,
 }
 
 TEST(ThresholdCell, EveryTwoValuePatternKeepsExactlyItsInRangeAverage) {
-  for (const exec::Backend* backend :
-       {&exec::serialBackend(), &exec::threadedBackend()}) {
+  for (exec::BackendKind backend :
+         {exec::BackendKind::Serial, exec::BackendKind::Threaded}) {
     for (const unsigned workers : {1u, 2u, 4u}) {
       util::ThreadPool pool(workers);
       util::ExecutionContext ctx(pool);
-      ctx.setBackend(*backend);
+      ctx.setBackend(backend);
       for (const TwoValueCase& tc : kTwoValueCases) {
         ThresholdFilter filter;
         filter.setRange(tc.lo, tc.hi);
         for (int pattern = 0; pattern < 256; ++pattern) {
-          SCOPED_TRACE(std::string(backend->token()) + " pool " +
+          SCOPED_TRACE(std::string(exec::backendToken(backend)) + " pool " +
                        std::to_string(workers) + " " + tc.name +
                        " pattern=" + std::to_string(pattern));
           double c[8];

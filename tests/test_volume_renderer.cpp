@@ -143,7 +143,7 @@ TEST(VolumeRenderer, TiledImagesMatchAcrossPoolSizes) {
   const auto render = [&](unsigned workers) {
     util::ThreadPool pool(workers);
     util::ExecutionContext ctx(pool);
-    ctx.setBackend(exec::threadedBackend());
+    ctx.setBackend(exec::BackendKind::Threaded);
     return renderer.run(ctx, g, "energy");
   };
   const auto one = render(1);

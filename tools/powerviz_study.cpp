@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   // first one allocated; the tracer accumulates every kernel phase.
   util::ExecutionContext ctx;
   if (!backendToken.empty()) {
-    ctx.setBackend(exec::backendFor(exec::parseBackendToken(backendToken)));
+    ctx.setBackend(exec::parseBackendToken(backendToken));
   }
   std::vector<core::ConfigRecord> records;
   for (vis::Id size : config.sizes) {
